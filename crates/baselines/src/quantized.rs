@@ -13,29 +13,25 @@
 //!   re-rank the final beam exactly — the memory/accuracy trade DiskANN
 //!   uses for its SSD variant, applied to the in-memory graph.
 //!
-//! Both indexes run one shared beam loop ([`adc_search_into`]) built from
-//! the *same* ordering/admission/merge helpers as the core engine
-//! (`parlayann::beam`), parameterized by an [`AdcScorer`]. Scoring a whole
-//! out-neighborhood per call is what lets the 4-bit scorer gather
+//! Both indexes run the core engine's beam loop itself
+//! ([`parlayann::beam::walk`]), handing it an [`AdcScorer`] where exact
+//! search hands it the stored vectors. The walk scores a whole
+//! out-neighborhood per call, which is what lets the 4-bit scorer gather
 //! candidates into 32-point groups and scan them with one `vpshufb` per
-//! subspace pair. `search_batch_blocked` is overridden, so the indexes
-//! join the query-blocked [`QueryEngine`](parlayann::QueryEngine) path
-//! (`search_batch_in` defers to it at the engine's block size): queries in
-//! a block share one scratch — zero steady-state allocation — and
-//! single-query [`search`](AnnIndex::search) runs the identical routine,
-//! so batched and per-query results are bit-identical by construction.
+//! subspace pair. Each index keeps its walk state in a
+//! [`ScratchPool`](parlayann::ScratchPool) — zero steady-state allocation
+//! — and `search_batch` is the trait's one-task-per-query loop over
+//! [`search`](AnnIndex::search), so batched and per-query results are
+//! bit-identical by construction.
 
 use crate::kmeans::to_f32_vec;
 use crate::pq::{PqParams, ProductQuantizer};
 use crate::pq4::{self, gather_group, Lut4, Pq4Params, ProductQuantizer4, GROUP};
 use ann_data::{distance_batch, Metric, PointSet, VectorElem};
-use parlayann::beam::{
-    admission_bounds, cmp_dist, merge_dedup_into, sorted_difference_into, GraphView,
-};
-use parlayann::visited::VisitedFilter;
+use parlayann::beam::{cmp_dist, walk, Scorer, WalkScratch};
 use parlayann::{
-    AnnIndex, BuildStats, FlatGraph, IndexKind, IndexStats, QueryParams, SearchStats, VamanaIndex,
-    VamanaParams,
+    AnnIndex, BuildStats, FlatGraph, IndexKind, IndexStats, QueryParams, ScratchPool, SearchStats,
+    VamanaIndex, VamanaParams,
 };
 use rayon::prelude::*;
 
@@ -48,6 +44,9 @@ pub trait AdcScorer: Sync {
     type Lut: Send;
     /// Reusable per-worker scan buffers (cleared/overwritten per call).
     type Scratch: Default + Send;
+
+    /// Number of encoded points.
+    fn num_points(&self) -> usize;
 
     /// Builds the per-query lookup state.
     fn make_lut(&self, query: &[f32], metric: Metric) -> Self::Lut;
@@ -75,6 +74,10 @@ pub struct Pq8Scorer<'a> {
 impl AdcScorer for Pq8Scorer<'_> {
     type Lut = Vec<f32>;
     type Scratch = ();
+
+    fn num_points(&self) -> usize {
+        self.codes.len() / self.pq.code_len()
+    }
 
     fn make_lut(&self, query: &[f32], metric: Metric) -> Vec<f32> {
         self.pq.adc_table(query, metric)
@@ -110,6 +113,10 @@ impl AdcScorer for Pq4Scorer<'_> {
     type Lut = Lut4;
     type Scratch = Pq4Scratch;
 
+    fn num_points(&self) -> usize {
+        self.codes.len() / self.pq.pairs()
+    }
+
     fn make_lut(&self, query: &[f32], metric: Metric) -> Lut4 {
         self.pq.lut(query, metric)
     }
@@ -125,183 +132,69 @@ impl AdcScorer for Pq4Scorer<'_> {
     }
 }
 
-/// Reusable working state for the ADC beam loop — the ADC analogue of the
-/// core engine's `SearchScratch`, shared by every query of a block.
-pub struct AdcScratch<S: AdcScorer> {
-    frontier: Vec<(u32, f32)>,
-    visited: Vec<(u32, f32)>,
-    unvisited: Vec<(u32, f32)>,
-    candidates: Vec<(u32, f32)>,
-    merge_buf: Vec<(u32, f32)>,
-    cand_ids: Vec<u32>,
-    dists: Vec<f32>,
-    filter: VisitedFilter,
-    scan: S::Scratch,
+/// Reusable working state for one ADC search: the walk's buffers plus the
+/// scorer's scan buffers (`X` is an [`AdcScorer::Scratch`]).
+#[derive(Default)]
+pub struct AdcScratch<X> {
+    walk: WalkScratch,
+    scan: X,
 }
 
-impl<S: AdcScorer> Default for AdcScratch<S> {
-    fn default() -> Self {
-        AdcScratch {
-            frontier: Vec::new(),
-            visited: Vec::new(),
-            unvisited: Vec::new(),
-            candidates: Vec::with_capacity(64),
-            merge_buf: Vec::new(),
-            cand_ids: Vec::with_capacity(64),
-            dists: Vec::new(),
-            filter: VisitedFilter::new(true, 64),
-            scan: S::Scratch::default(),
-        }
-    }
+/// One query's view of an [`AdcScorer`]: what the core walk scores with.
+struct AdcQuery<'a, S: AdcScorer> {
+    scorer: &'a S,
+    lut: &'a S::Lut,
+    scan: &'a mut S::Scratch,
 }
 
-/// The shared ADC beam search: `beam_search_into` with approximate
-/// scoring. Identical control flow, ordering ([`cmp_dist`]), admission
-/// ([`admission_bounds`]) and merge helpers as the core loop — only the
-/// distance evaluations differ — so every structural guarantee (sorted
-/// frontier, visited-set semantics, ε-cut) carries over. Scoring happens
-/// one out-neighborhood per call, which is what the 4-bit scorer turns
-/// into whole-group register scans. The final frontier is left in
-/// `scratch.frontier` (closest first, up to `beam` entries).
-fn adc_search_into<S: AdcScorer, G: GraphView>(
-    scorer: &S,
-    lut: &S::Lut,
-    scratch: &mut AdcScratch<S>,
-    view: &G,
-    starts: &[u32],
-    params: &QueryParams,
-) -> SearchStats {
-    use parlayann::VisitedMode;
-    let mut stats = SearchStats::default();
-    let track = params.stats.enabled();
-    scratch
-        .filter
-        .reset(params.visited == VisitedMode::Approx, params.beam);
-
-    // Seed: score the deduplicated start vertices, admit everything.
-    scratch.cand_ids.clear();
-    scratch.cand_ids.extend(
-        starts
-            .iter()
-            .copied()
-            .filter(|&s| !scratch.filter.test_and_insert(s)),
-    );
-    scorer.score_into(
-        lut,
-        &mut scratch.scan,
-        &scratch.cand_ids,
-        &mut scratch.dists,
-    );
-    if track {
-        stats.dist_comps += scratch.cand_ids.len();
-    }
-    scratch.frontier.clear();
-    scratch.frontier.extend(
-        scratch
-            .cand_ids
-            .iter()
-            .copied()
-            .zip(scratch.dists.iter().copied()),
-    );
-    scratch.frontier.sort_by(cmp_dist);
-    scratch.frontier.truncate(params.beam);
-
-    scratch.visited.clear();
-    scratch.unvisited.clear();
-    scratch.unvisited.extend_from_slice(&scratch.frontier);
-
-    while let Some(&current) = scratch.unvisited.first() {
-        if scratch.visited.len() >= params.limit {
-            break;
-        }
-        let pos = scratch
-            .visited
-            .binary_search_by(|x| cmp_dist(x, &current))
-            .unwrap_or_else(|e| e);
-        scratch.visited.insert(pos, current);
-        if track {
-            stats.hops += 1;
-        }
-
-        let (worst, cut_bound) = admission_bounds(&scratch.frontier, params);
-
-        // Score the whole unvisited out-neighborhood in one call — the
-        // 4-bit scorer's group scans need the ids batched.
-        scratch.cand_ids.clear();
-        for &w in view.out_neighbors(current.0) {
-            if !scratch.filter.test_and_insert(w) {
-                scratch.cand_ids.push(w);
-            }
-        }
-        scorer.score_into(
-            lut,
-            &mut scratch.scan,
-            &scratch.cand_ids,
-            &mut scratch.dists,
-        );
-        if track {
-            stats.dist_comps += scratch.cand_ids.len();
-        }
-        scratch.candidates.clear();
-        for (&w, &d) in scratch.cand_ids.iter().zip(scratch.dists.iter()) {
-            if d >= worst || d > cut_bound {
-                continue;
-            }
-            scratch.candidates.push((w, d));
-        }
-        scratch.candidates.sort_by(cmp_dist);
-
-        merge_dedup_into(
-            &scratch.frontier,
-            &scratch.candidates,
-            params.beam,
-            &mut scratch.merge_buf,
-        );
-        std::mem::swap(&mut scratch.frontier, &mut scratch.merge_buf);
-        sorted_difference_into(&scratch.frontier, &scratch.visited, &mut scratch.merge_buf);
-        std::mem::swap(&mut scratch.unvisited, &mut scratch.merge_buf);
+impl<S: AdcScorer> Scorer for AdcQuery<'_, S> {
+    fn num_points(&self) -> usize {
+        self.scorer.num_points()
     }
 
-    stats
+    fn score(&mut self, ids: &[u32], out: &mut Vec<f32>) {
+        self.scorer.score_into(self.lut, self.scan, ids, out);
+    }
 }
 
 /// Exact re-rank of the top `rerank_factor × k` ADC candidates through
 /// one batched, prefetched `distance_batch` call (rerank 0 disables).
 fn rerank_exact<T: VectorElem>(
     query: &[T],
-    frontier: &mut Vec<(u32, f32)>,
+    frontier: &[(u32, f32)],
     points: &PointSet<T>,
     metric: Metric,
     rerank_factor: usize,
     params: &QueryParams,
     stats: &mut SearchStats,
-) {
+) -> Vec<(u32, f32)> {
     let keep = if rerank_factor > 0 {
-        (rerank_factor * params.k).min(frontier.len())
+        rerank_factor.saturating_mul(params.k)
     } else {
-        params.k.min(frontier.len())
+        params.k
     };
-    frontier.truncate(keep);
+    let mut top = frontier[..keep.min(frontier.len())].to_vec();
     if rerank_factor > 0 {
-        let ids: Vec<u32> = frontier.iter().map(|&(id, _)| id).collect();
+        let ids: Vec<u32> = top.iter().map(|&(id, _)| id).collect();
         let mut exact = Vec::new();
         distance_batch(query, &ids, points, metric, &mut exact);
         if params.stats.enabled() {
             stats.dist_comps += ids.len();
         }
-        for (cand, d) in frontier.iter_mut().zip(exact) {
+        for (cand, d) in top.iter_mut().zip(exact) {
             cand.1 = d;
         }
-        frontier.sort_by(cmp_dist);
+        top.sort_by(cmp_dist);
     }
-    frontier.truncate(params.k);
+    top.truncate(params.k);
+    top
 }
 
-/// One query through scorer + walk + re-rank over a caller-owned scratch.
+/// One query through scorer + walk + re-rank over a pooled scratch.
 #[allow(clippy::too_many_arguments)]
-fn adc_search_one<T: VectorElem, S: AdcScorer>(
+fn adc_search<T: VectorElem, S: AdcScorer>(
     scorer: &S,
-    scratch: &mut AdcScratch<S>,
+    pool: &ScratchPool<AdcScratch<S::Scratch>>,
     query: &[T],
     graph: &FlatGraph,
     start: u32,
@@ -311,60 +204,24 @@ fn adc_search_one<T: VectorElem, S: AdcScorer>(
     params: &QueryParams,
 ) -> (Vec<(u32, f32)>, SearchStats) {
     let lut = scorer.make_lut(&to_f32_vec(query), metric);
-    let mut stats = adc_search_into(scorer, &lut, scratch, graph, &[start], params);
-    rerank_exact(
-        query,
-        &mut scratch.frontier,
-        points,
-        metric,
-        rerank_factor,
-        params,
-        &mut stats,
-    );
-    (scratch.frontier.clone(), stats)
-}
-
-/// The blocked batch entry shared by both compressed indexes: queries are
-/// split into engine-sized blocks processed in parallel; each block runs
-/// its queries through **one** reused [`AdcScratch`] (zero allocation per
-/// query at steady state). Identical per-query routine to single `search`
-/// ⇒ bit-identical results at any block size.
-#[allow(clippy::too_many_arguments)]
-fn adc_search_batch<T: VectorElem, S: AdcScorer>(
-    scorer: &S,
-    queries: &PointSet<T>,
-    graph: &FlatGraph,
-    start: u32,
-    points: &PointSet<T>,
-    metric: Metric,
-    rerank_factor: usize,
-    params: &QueryParams,
-    block_size: usize,
-) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-    let nq = queries.len();
-    let bs = block_size.max(1);
-    let per_block: Vec<Vec<(Vec<(u32, f32)>, SearchStats)>> = (0..nq.div_ceil(bs))
-        .into_par_iter()
-        .map(|b| {
-            let mut scratch = AdcScratch::<S>::default();
-            (b * bs..((b + 1) * bs).min(nq))
-                .map(|q| {
-                    adc_search_one(
-                        scorer,
-                        &mut scratch,
-                        queries.point(q),
-                        graph,
-                        start,
-                        points,
-                        metric,
-                        rerank_factor,
-                        params,
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    per_block.into_iter().flatten().collect()
+    pool.with(|scratch| {
+        let mut adc = AdcQuery {
+            scorer,
+            lut: &lut,
+            scan: &mut scratch.scan,
+        };
+        let mut stats = walk(&mut scratch.walk, &mut adc, graph, &[start], params);
+        let top = rerank_exact(
+            query,
+            scratch.walk.frontier(),
+            points,
+            metric,
+            rerank_factor,
+            params,
+            &mut stats,
+        );
+        (top, stats)
+    })
 }
 
 /// Build parameters for [`PqVamanaIndex`].
@@ -405,6 +262,7 @@ pub struct PqVamanaIndex<T> {
     codes: Vec<u8>,
     rerank_factor: usize,
     points: PointSet<T>,
+    scratch: ScratchPool<AdcScratch<()>>,
 }
 
 impl<T: VectorElem> PqVamanaIndex<T> {
@@ -434,6 +292,7 @@ impl<T: VectorElem> PqVamanaIndex<T> {
             codes,
             rerank_factor,
             points,
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -452,9 +311,9 @@ impl<T: VectorElem> PqVamanaIndex<T> {
     /// Beam search over the graph scoring candidates by ADC distance, with
     /// exact re-ranking of the final beam. Single-threaded per query.
     pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        adc_search_one(
+        adc_search(
             &self.scorer(),
-            &mut AdcScratch::default(),
+            &self.scratch,
             query,
             &self.graph,
             self.start,
@@ -474,25 +333,6 @@ impl<T: VectorElem> PqVamanaIndex<T> {
 impl<T: VectorElem> AnnIndex<T> for PqVamanaIndex<T> {
     fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
         PqVamanaIndex::search(self, query, params)
-    }
-
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        adc_search_batch(
-            &self.scorer(),
-            queries,
-            &self.graph,
-            self.start,
-            &self.points,
-            self.metric,
-            self.rerank_factor,
-            params,
-            block_size,
-        )
     }
 
     fn name(&self) -> String {
@@ -559,6 +399,7 @@ pub struct Pq4VamanaIndex<T> {
     codes: Vec<u8>,
     rerank_factor: usize,
     points: PointSet<T>,
+    scratch: ScratchPool<AdcScratch<Pq4Scratch>>,
 }
 
 impl<T: VectorElem> Pq4VamanaIndex<T> {
@@ -582,6 +423,7 @@ impl<T: VectorElem> Pq4VamanaIndex<T> {
             codes,
             rerank_factor,
             points,
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -604,9 +446,9 @@ impl<T: VectorElem> Pq4VamanaIndex<T> {
 
     /// ADC beam search with group-scanned 4-bit codes + exact re-rank.
     pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        adc_search_one(
+        adc_search(
             &self.scorer(),
-            &mut AdcScratch::default(),
+            &self.scratch,
             query,
             &self.graph,
             self.start,
@@ -626,25 +468,6 @@ impl<T: VectorElem> Pq4VamanaIndex<T> {
 impl<T: VectorElem> AnnIndex<T> for Pq4VamanaIndex<T> {
     fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
         Pq4VamanaIndex::search(self, query, params)
-    }
-
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        adc_search_batch(
-            &self.scorer(),
-            queries,
-            &self.graph,
-            self.start,
-            &self.points,
-            self.metric,
-            self.rerank_factor,
-            params,
-            block_size,
-        )
     }
 
     fn name(&self) -> String {
@@ -761,8 +584,8 @@ mod tests {
 
     #[test]
     fn batched_matches_single_query_bitwise() {
-        // The blocked path must be unobservable: same ids, same bits, any
-        // block size, for both the 8-bit and 4-bit scorers.
+        // Batching must be unobservable: same ids, same bits, same stats
+        // at 1 and 8 threads, for both the 8-bit and 4-bit scorers.
         let data = bigann_like(1_000, 17, 74);
         let qp = QueryParams {
             beam: 32,
@@ -772,22 +595,55 @@ mod tests {
             let single: Vec<(Vec<(u32, f32)>, SearchStats)> = (0..data.queries.len())
                 .map(|q| index.search(data.queries.point(q), &qp))
                 .collect();
-            for bs in [1usize, 4, 16, 64] {
-                let batched = index.search_batch_blocked(&data.queries, &qp, bs);
+            for threads in [1usize, 8] {
+                let batched =
+                    parlay::with_threads(threads, || index.search_batch(&data.queries, &qp));
                 assert_eq!(batched.len(), single.len());
                 for (q, ((br, bstats), (sr, sstats))) in batched.iter().zip(&single).enumerate() {
-                    assert_eq!(br.len(), sr.len(), "{} bs={bs} q={q}", index.name());
+                    assert_eq!(
+                        br.len(),
+                        sr.len(),
+                        "{} threads={threads} q={q}",
+                        index.name()
+                    );
                     for (a, b) in br.iter().zip(sr) {
-                        assert_eq!(a.0, b.0, "{} bs={bs} q={q}", index.name());
+                        assert_eq!(a.0, b.0, "{} threads={threads} q={q}", index.name());
                         assert_eq!(
                             a.1.to_bits(),
                             b.1.to_bits(),
-                            "{} bs={bs} q={q}",
+                            "{} threads={threads} q={q}",
                             index.name()
                         );
                     }
-                    assert_eq!(bstats, sstats, "{} bs={bs} q={q}", index.name());
+                    assert_eq!(bstats, sstats, "{} threads={threads} q={q}", index.name());
                 }
+            }
+        };
+        check(&PqVamanaIndex::build(
+            data.points.clone(),
+            data.metric,
+            &PqVamanaParams::default(),
+        ));
+        check(&Pq4VamanaIndex::build(
+            data.points.clone(),
+            data.metric,
+            &Pq4VamanaParams::default(),
+        ));
+    }
+
+    #[test]
+    fn zero_k_or_zero_beam_is_an_empty_result_with_zero_stats() {
+        let data = bigann_like(400, 3, 75);
+        let check = |index: &dyn AnnIndex<u8>| {
+            for (k, beam) in [(0usize, 16usize), (5, 0)] {
+                let qp = QueryParams {
+                    k,
+                    beam,
+                    ..QueryParams::default()
+                };
+                let empty = (Vec::new(), SearchStats::default());
+                assert_eq!(index.search(data.queries.point(0), &qp), empty);
+                assert_eq!(index.search_batch(&data.queries, &qp), vec![empty; 3]);
             }
         };
         check(&PqVamanaIndex::build(

@@ -7,7 +7,7 @@
 //! percentiles, achieved throughput, and mean batch size per load level,
 //! verifies every response is **bit-identical** to direct
 //! `search_batch`, and appends a machine-readable record to
-//! `BENCH_serve.json` (appending, like `BENCH_batch.json` — the perf
+//! `BENCH_serve.json` (appending, like the other `BENCH_*.json` — the perf
 //! trajectory accumulates across PRs).
 //!
 //! Two extra load points probe the fault-tolerant tier:

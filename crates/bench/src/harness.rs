@@ -27,7 +27,7 @@ pub struct SweepPoint {
 }
 
 /// Runs all queries through the index's batched path ([`AnnIndex::search_batch`]
-/// — the query-blocked engine for the graph indexes), returning per-query
+/// — one task per query over pooled scratch), returning per-query
 /// result ids and deterministically aggregated stats. Every figure
 /// experiment measures through here, so the whole evaluation exercises the
 /// unified query layer.

@@ -2,7 +2,7 @@
 //!
 //! The workspace has no serde (offline container), so the bench bins
 //! serialize records by hand. This module is the single place that does
-//! it — `batch_qps`, `pool_scaling`, and `serve_qps` all build their
+//! it — `pool_scaling`, `shard_scaling` and `serve_qps` all build their
 //! records here, so the escaping, number formatting, and append-not-
 //! clobber file behavior stay consistent as the set of benches grows.
 //!

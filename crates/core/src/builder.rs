@@ -16,9 +16,10 @@
 //! The build is phase-structured: parallel reads of the snapshot, then
 //! parallel writes to disjoint rows — never both at once.
 
-use crate::beam::{beam_search, QueryParams, VisitedMode};
+use crate::beam::{beam_search_into, QueryParams, SearchScratch, VisitedMode};
 use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
 use crate::prune::{heuristic_prune, robust_prune};
+use crate::query::ScratchPool;
 use ann_data::{distance_batch, Metric, PointSet, VectorElem};
 use parlay::{flatten, group_by_u32, map_slice};
 use rayon::prelude::*;
@@ -196,19 +197,24 @@ fn batch_insert<T: VectorElem, P: PruneStrategy<T>>(
     };
 
     // Step 1 — each batch point independently searches the immutable
-    // snapshot and prunes its candidate set (lines 7–9 of Alg. 3).
+    // snapshot and prunes its candidate set (lines 7–9 of Alg. 3). The
+    // search state is reused across the batch: one scratch per worker.
     let snapshot: &FlatGraph = graph;
+    let scratches: ScratchPool<SearchScratch<T>> = ScratchPool::new();
     let results: Vec<(u32, Vec<u32>, usize)> = map_slice(batch, |&p| {
-        let res = beam_search(
-            points.point(p as usize),
-            points,
-            metric,
-            snapshot,
-            &[start],
-            &qp,
-        );
-        let mut dc = res.stats.dist_comps;
-        let mut candidates = res.visited;
+        let (stats, mut candidates) = scratches.with(|scratch| {
+            let stats = beam_search_into(
+                scratch,
+                points.point(p as usize),
+                points,
+                metric,
+                snapshot,
+                &[start],
+                &qp,
+            );
+            (stats, scratch.expanded().to_vec())
+        });
+        let mut dc = stats.dist_comps;
         if include_existing {
             let existing = snapshot.neighbors(p);
             let mut dists = Vec::new();

@@ -8,12 +8,12 @@
 //! the first with α = 1 and the second with the final α, which densifies
 //! long-range edges.
 
-use crate::beam::{beam_search, QueryParams};
+use crate::beam::{QueryParams, SearchScratch};
 use crate::builder::{incremental_build, insertion_order, refine_pass, AlphaPrune, BuildParams};
 // (refine_pass also powers the dynamic-insert path)
 use crate::graph::FlatGraph;
 use crate::medoid::medoid;
-use crate::query::{IndexKind, IndexStats, Starts};
+use crate::query::{IndexKind, IndexStats, ScratchPool};
 use crate::range::RangeParams;
 use crate::stats::{BuildStats, SearchStats};
 use crate::AnnIndex;
@@ -61,6 +61,7 @@ pub struct VamanaIndex<T> {
     /// Build statistics.
     pub build_stats: BuildStats,
     points: PointSet<T>,
+    pub(crate) scratch: ScratchPool<SearchScratch<T>>,
 }
 
 impl<T: VectorElem> VamanaIndex<T> {
@@ -106,6 +107,7 @@ impl<T: VectorElem> VamanaIndex<T> {
                 dist_comps: dc,
             },
             points,
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -162,6 +164,7 @@ impl<T: VectorElem> VamanaIndex<T> {
             metric,
             build_stats,
             points,
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -193,17 +196,14 @@ impl<T: VectorElem> VamanaIndex<T> {
 
     /// Beam search for `query`; returns up to `params.k` `(id, dist)` pairs.
     pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        let res = beam_search(
+        self.scratch.search(
             query,
             &self.points,
             self.metric,
             &self.graph,
             &[self.start],
             params,
-        );
-        let mut out = res.beam;
-        out.truncate(params.k);
-        (out, res.stats)
+        )
     }
 }
 
@@ -230,43 +230,6 @@ impl<T: VectorElem + BinaryElem> AnnIndex<T> for VamanaIndex<T> {
 
     fn dim(&self) -> usize {
         self.points.dim()
-    }
-
-    /// Query-blocked batched search over the graph (bit-identical to
-    /// per-query [`VamanaIndex::search`]).
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        crate::query::search_batch_graph(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(std::slice::from_ref(&self.start)),
-            params,
-            block_size,
-        )
-    }
-
-    /// Serving path: run on the caller's long-lived engine so its scratch
-    /// pool persists across dispatched batches.
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &crate::query::QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        engine.search_batch(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(std::slice::from_ref(&self.start)),
-            params,
-        )
     }
 
     fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {

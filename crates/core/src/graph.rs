@@ -54,6 +54,15 @@ impl FlatGraph {
         &self.edges[start..start + self.counts[v] as usize]
     }
 
+    /// Prefetches `v`'s edge slots and live count, so a following
+    /// [`neighbors`](Self::neighbors)`(v)` hits cache.
+    #[inline]
+    pub fn prefetch_row(&self, v: u32) {
+        let v = v as usize;
+        ann_data::simd::prefetch_read(&self.counts[v..v + 1]);
+        ann_data::simd::prefetch_read(&self.edges[v * self.max_degree..(v + 1) * self.max_degree]);
+    }
+
     /// Out-degree of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {

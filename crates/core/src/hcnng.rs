@@ -12,12 +12,12 @@
 //! complete-graph variant is kept behind [`HcnngParams::full_mst`] for the
 //! ablation. Tree-edge union is lock-free via semisort (§3.2).
 
-use crate::beam::{beam_search, QueryParams};
+use crate::beam::{QueryParams, SearchScratch};
 use crate::cluster::random_cluster_leaves;
 use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
 use crate::medoid::medoid;
 use crate::prune::robust_prune;
-use crate::query::{IndexKind, IndexStats, Starts};
+use crate::query::{IndexKind, IndexStats, ScratchPool};
 use crate::range::RangeParams;
 use crate::stats::{BuildStats, SearchStats};
 use crate::AnnIndex;
@@ -72,6 +72,7 @@ pub struct HcnngIndex<T> {
     /// Build statistics.
     pub build_stats: BuildStats,
     points: PointSet<T>,
+    scratch: ScratchPool<SearchScratch<T>>,
 }
 
 /// Union-find with path halving + union by size (per-leaf, sequential).
@@ -292,22 +293,20 @@ impl<T: VectorElem> HcnngIndex<T> {
                 dist_comps: dc_total,
             },
             points,
+            scratch: ScratchPool::new(),
         }
     }
 
     /// Beam search from the medoid (shared search path, §4.5).
     pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        let res = beam_search(
+        self.scratch.search(
             query,
             &self.points,
             self.metric,
             &self.graph,
             &[self.start],
             params,
-        );
-        let mut out = res.beam;
-        out.truncate(params.k);
-        (out, res.stats)
+        )
     }
 
     /// The indexed points.
@@ -332,6 +331,7 @@ impl<T: VectorElem> HcnngIndex<T> {
             metric,
             build_stats,
             points,
+            scratch: ScratchPool::new(),
         }
     }
 }
@@ -361,51 +361,18 @@ impl<T: VectorElem + BinaryElem> AnnIndex<T> for HcnngIndex<T> {
         self.points.dim()
     }
 
-    /// Query-blocked batched search over the union-of-MSTs graph.
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        crate::query::search_batch_graph(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(std::slice::from_ref(&self.start)),
-            params,
-            block_size,
-        )
-    }
-
-    /// Serving path: run on the caller's long-lived engine so its scratch
-    /// pool persists across dispatched batches.
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &crate::query::QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        engine.search_batch(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(std::slice::from_ref(&self.start)),
-            params,
-        )
-    }
-
     fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {
-        crate::range::range_search(
-            query,
-            &self.points,
-            self.metric,
-            &self.graph,
-            &[self.start],
-            params,
-        )
+        self.scratch.with(|scratch| {
+            crate::range::range_search(
+                scratch,
+                query,
+                &self.points,
+                self.metric,
+                &self.graph,
+                &[self.start],
+                params,
+            )
+        })
     }
 
     fn save_index(&self, path: &std::path::Path) -> std::io::Result<()> {

@@ -13,11 +13,11 @@
 //! HNSW are gone. As in hnswlib, the bottom layer has degree bound `2m`
 //! and upper layers `m`.
 
-use crate::beam::{beam_search, GraphView, QueryParams, VisitedMode};
+use crate::beam::{beam_search_into, GraphView, QueryParams, SearchScratch, VisitedMode};
 use crate::builder::insertion_order;
 use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
 use crate::prune::heuristic_prune;
-use crate::query::{IndexKind, IndexStats, Starts};
+use crate::query::{IndexKind, IndexStats, ScratchPool};
 use crate::range::RangeParams;
 use crate::stats::{BuildStats, SearchStats};
 use crate::AnnIndex;
@@ -89,6 +89,14 @@ impl GraphView for LayerView<'_> {
     fn out_neighbors(&self, v: u32) -> &[u32] {
         self.0.graph.neighbors(self.0.local(v))
     }
+
+    #[inline]
+    fn prefetch_neighbors(&self, v: u32) {
+        // Upper layers are small and would need a member lookup first.
+        if self.0.full {
+            self.0.graph.prefetch_row(v);
+        }
+    }
 }
 
 /// A built HNSW index.
@@ -102,6 +110,7 @@ pub struct HnswIndex<T> {
     /// Build statistics.
     pub build_stats: BuildStats,
     points: PointSet<T>,
+    scratch: ScratchPool<SearchScratch<T>>,
 }
 
 /// Deterministic geometric level: `floor(-ln(U) / ln(m))` from a hashed id.
@@ -153,6 +162,7 @@ impl<T: VectorElem> HnswIndex<T> {
             metric,
             build_stats: BuildStats::default(),
             points,
+            scratch: ScratchPool::new(),
         };
 
         // Prefix-doubling batch insertion over the shuffled order.
@@ -176,6 +186,7 @@ impl<T: VectorElem> HnswIndex<T> {
     /// classic HNSW search).
     fn greedy1(
         &self,
+        scratch: &mut SearchScratch<T>,
         query: &[T],
         layer: usize,
         from: u32,
@@ -190,7 +201,8 @@ impl<T: VectorElem> HnswIndex<T> {
             visited: VisitedMode::Approx,
             stats: mode,
         };
-        let res = beam_search(
+        let stats = beam_search_into(
+            scratch,
             query,
             &self.points,
             self.metric,
@@ -198,8 +210,8 @@ impl<T: VectorElem> HnswIndex<T> {
             &[from],
             &qp,
         );
-        *dc += res.stats.dist_comps;
-        res.beam.first().map_or(from, |&(id, _)| id)
+        *dc += stats.dist_comps;
+        scratch.frontier().first().map_or(from, |&(id, _)| id)
     }
 
     /// Inserts one batch: each point searches the pre-batch snapshot of all
@@ -211,49 +223,59 @@ impl<T: VectorElem> HnswIndex<T> {
         // Step 1 — independent multi-layer searches on the snapshot.
         type PerPoint = (u32, Vec<(usize, Vec<u32>)>, usize);
         let results: Vec<PerPoint> = map_slice(batch, |&p| {
-            let q = self.points.point(p as usize);
-            let lp = self.levels[p as usize] as usize;
-            let mut dc = 0usize;
-            let mut cur = self.entry;
-            // Descend through layers above p's level with beam 1.
-            for l in ((lp + 1)..=top).rev() {
-                cur = self.greedy1(q, l, cur, crate::stats::StatsMode::Counters, &mut dc);
-            }
-            // Insert into layers lp..0 with the construction beam.
-            let mut outs: Vec<(usize, Vec<u32>)> = Vec::with_capacity(lp + 1);
-            for l in (0..=lp.min(top)).rev() {
-                let qp = QueryParams {
-                    k: 1,
-                    beam: params.ef_construction,
-                    cut: 1.25,
-                    limit: usize::MAX,
-                    visited: VisitedMode::Approx,
-                    stats: crate::stats::StatsMode::Counters,
-                };
-                let res = beam_search(
-                    q,
-                    &self.points,
-                    self.metric,
-                    &LayerView(&self.layers[l]),
-                    &[cur],
-                    &qp,
-                );
-                dc += res.stats.dist_comps;
-                let bound = if l == 0 { 2 * m } else { m };
-                let out = heuristic_prune(
-                    p,
-                    res.visited.clone(),
-                    &self.points,
-                    self.metric,
-                    params.alpha,
-                    bound,
-                    params.keep_pruned,
-                    &mut dc,
-                );
-                cur = res.beam.first().map_or(cur, |&(id, _)| id);
-                outs.push((l, out));
-            }
-            (p, outs, dc)
+            self.scratch.with(|scratch| {
+                let q = self.points.point(p as usize);
+                let lp = self.levels[p as usize] as usize;
+                let mut dc = 0usize;
+                let mut cur = self.entry;
+                // Descend through layers above p's level with beam 1.
+                for l in ((lp + 1)..=top).rev() {
+                    cur = self.greedy1(
+                        scratch,
+                        q,
+                        l,
+                        cur,
+                        crate::stats::StatsMode::Counters,
+                        &mut dc,
+                    );
+                }
+                // Insert into layers lp..0 with the construction beam.
+                let mut outs: Vec<(usize, Vec<u32>)> = Vec::with_capacity(lp + 1);
+                for l in (0..=lp.min(top)).rev() {
+                    let qp = QueryParams {
+                        k: 1,
+                        beam: params.ef_construction,
+                        cut: 1.25,
+                        limit: usize::MAX,
+                        visited: VisitedMode::Approx,
+                        stats: crate::stats::StatsMode::Counters,
+                    };
+                    let stats = beam_search_into(
+                        scratch,
+                        q,
+                        &self.points,
+                        self.metric,
+                        &LayerView(&self.layers[l]),
+                        &[cur],
+                        &qp,
+                    );
+                    dc += stats.dist_comps;
+                    let bound = if l == 0 { 2 * m } else { m };
+                    let out = heuristic_prune(
+                        p,
+                        scratch.expanded().to_vec(),
+                        &self.points,
+                        self.metric,
+                        params.alpha,
+                        bound,
+                        params.keep_pruned,
+                        &mut dc,
+                    );
+                    cur = scratch.frontier().first().map_or(cur, |&(id, _)| id);
+                    outs.push((l, out));
+                }
+                (p, outs, dc)
+            })
         });
         let mut dc_total: u64 = results.iter().map(|&(_, _, dc)| dc as u64).sum();
 
@@ -346,20 +368,23 @@ impl<T: VectorElem> HnswIndex<T> {
     /// Searches: beam-1 descent from the top layer, then a beam search at
     /// the bottom layer.
     pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        let (cur, dc) = self.descend(query, params.stats);
-        let res = beam_search(
-            query,
-            &self.points,
-            self.metric,
-            &LayerView(&self.layers[0]),
-            &[cur],
-            params,
-        );
-        let mut stats = res.stats;
-        stats.dist_comps += dc;
-        let mut out = res.beam;
-        out.truncate(params.k);
-        (out, stats)
+        if params.asks_nothing() {
+            return (Vec::new(), SearchStats::default());
+        }
+        self.scratch.with(|scratch| {
+            let (cur, dc) = self.descend(scratch, query, params.stats);
+            let mut stats = beam_search_into(
+                scratch,
+                query,
+                &self.points,
+                self.metric,
+                &LayerView(&self.layers[0]),
+                &[cur],
+                params,
+            );
+            stats.dist_comps += dc;
+            (scratch.top_k(params.k), stats)
+        })
     }
 
     /// Number of layers (≥ 1).
@@ -388,12 +413,17 @@ impl<T: VectorElem> HnswIndex<T> {
 impl<T: VectorElem> HnswIndex<T> {
     /// Width-1 descent from the top layer down to (but excluding) layer 0,
     /// returning the bottom-layer entry vertex and descent distance comps.
-    fn descend(&self, query: &[T], mode: crate::stats::StatsMode) -> (u32, usize) {
+    fn descend(
+        &self,
+        scratch: &mut SearchScratch<T>,
+        query: &[T],
+        mode: crate::stats::StatsMode,
+    ) -> (u32, usize) {
         let top = self.levels[self.entry as usize] as usize;
         let mut dc = 0usize;
         let mut cur = self.entry;
         for l in (1..=top).rev() {
-            cur = self.greedy1(query, l, cur, mode, &mut dc);
+            cur = self.greedy1(scratch, query, l, cur, mode, &mut dc);
         }
         (cur, dc)
     }
@@ -432,63 +462,23 @@ impl<T: VectorElem> AnnIndex<T> for HnswIndex<T> {
         self.points.dim()
     }
 
-    /// Batched search: the cheap upper-layer descents run per query (the
-    /// express lanes are tiny), then the bottom layer — where all the work
-    /// is — runs query-blocked with each query's own entry vertex.
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.search_batch_in(
-            queries,
-            params,
-            &crate::query::QueryEngine::with_block_size(block_size),
-        )
-    }
-
-    /// Serving path: same descend-then-block pipeline, run on the
-    /// caller's long-lived engine so its scratch pool persists across
-    /// dispatched batches.
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &crate::query::QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        let descents: Vec<(u32, usize)> = parlay::tabulate(queries.len(), |q| {
-            self.descend(queries.point(q), params.stats)
-        });
-        let starts: Vec<Vec<u32>> = descents.iter().map(|&(cur, _)| vec![cur]).collect();
-        let mut out = engine.search_batch(
-            queries,
-            &self.points,
-            self.metric,
-            &LayerView(&self.layers[0]),
-            Starts::PerQuery(&starts),
-            params,
-        );
-        for (res, &(_, dc)) in out.iter_mut().zip(&descents) {
-            res.1.dist_comps += dc;
-        }
-        out
-    }
-
     /// Range search: descend to the bottom layer, then flood it (see
     /// [`crate::range`]).
     fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {
-        let (cur, dc) = self.descend(query, crate::stats::StatsMode::Counters);
-        let (res, mut stats) = crate::range::range_search(
-            query,
-            &self.points,
-            self.metric,
-            &LayerView(&self.layers[0]),
-            &[cur],
-            params,
-        );
-        stats.dist_comps += dc;
-        (res, stats)
+        self.scratch.with(|scratch| {
+            let (cur, dc) = self.descend(scratch, query, crate::stats::StatsMode::Counters);
+            let (res, mut stats) = crate::range::range_search(
+                scratch,
+                query,
+                &self.points,
+                self.metric,
+                &LayerView(&self.layers[0]),
+                &[cur],
+                params,
+            );
+            stats.dist_comps += dc;
+            (res, stats)
+        })
     }
 }
 

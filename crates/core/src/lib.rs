@@ -17,8 +17,8 @@
 //! let data = bigann_like(2_000, 20, 42);
 //! let index = VamanaIndex::build(data.points.clone(), data.metric, &VamanaParams::default());
 //! let params = QueryParams { beam: 32, ..QueryParams::default() };
-//! // Batched, query-blocked search through the unified engine —
-//! // bit-identical to calling `index.search` per query.
+//! // Batched search: one task per query, bit-identical to calling
+//! // `index.search` per query.
 //! let results: Vec<Vec<u32>> = index.search_batch(&data.queries, &params)
 //!     .into_iter()
 //!     .map(|(res, _stats)| res.into_iter().map(|(id, _)| id).collect())
@@ -60,9 +60,6 @@ pub use io::load_index;
 pub use medoid::medoid;
 pub use prune::{heuristic_prune, robust_prune};
 pub use pynndescent::{PyNNDescentIndex, PyNNDescentParams};
-pub use query::{
-    aggregate_stats, beam_search_block, default_block, AnnIndex, BlockScratch, IndexKind,
-    IndexStats, QueryEngine, Starts,
-};
+pub use query::{aggregate_stats, AnnIndex, IndexKind, IndexStats, ScratchPool};
 pub use range::{range_search, RangeParams};
 pub use stats::{BuildStats, SearchStats, ShardSet, StatsMode, SHARD_SET_BITS};

@@ -15,12 +15,12 @@
 //! * **blocked two-hop computation** — rounds process points in fixed-size
 //!   blocks to bound the intermediate two-hop memory.
 
-use crate::beam::{beam_search, QueryParams};
+use crate::beam::{QueryParams, SearchScratch};
 use crate::cluster::random_cluster_leaves;
 use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
 use crate::medoid::medoid;
 use crate::prune::robust_prune;
-use crate::query::{IndexKind, IndexStats, Starts};
+use crate::query::{IndexKind, IndexStats, ScratchPool};
 use crate::range::RangeParams;
 use crate::stats::{BuildStats, SearchStats};
 use crate::AnnIndex;
@@ -85,6 +85,7 @@ pub struct PyNNDescentIndex<T> {
     /// Number of nearest-neighbor-descent rounds executed.
     pub rounds: usize,
     points: PointSet<T>,
+    scratch: ScratchPool<SearchScratch<T>>,
 }
 
 /// Working graph during descent: per-point sorted `(id, dist)` rows.
@@ -256,6 +257,7 @@ impl<T: VectorElem> PyNNDescentIndex<T> {
             },
             rounds,
             points,
+            scratch: ScratchPool::new(),
         }
     }
 
@@ -347,17 +349,14 @@ impl<T: VectorElem> PyNNDescentIndex<T> {
 
     /// Beam search from the medoid (shared search path, §4.5).
     pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        let res = beam_search(
+        self.scratch.search(
             query,
             &self.points,
             self.metric,
             &self.graph,
             &self.starts,
             params,
-        );
-        let mut out = res.beam;
-        out.truncate(params.k);
-        (out, res.stats)
+        )
     }
 
     /// The indexed points.
@@ -387,6 +386,7 @@ impl<T: VectorElem> PyNNDescentIndex<T> {
             build_stats,
             rounds: 0,
             points,
+            scratch: ScratchPool::new(),
         }
     }
 }
@@ -416,51 +416,18 @@ impl<T: VectorElem + BinaryElem> AnnIndex<T> for PyNNDescentIndex<T> {
         self.points.dim()
     }
 
-    /// Query-blocked batched search from the shared entry sample.
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        crate::query::search_batch_graph(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(&self.starts),
-            params,
-            block_size,
-        )
-    }
-
-    /// Serving path: run on the caller's long-lived engine so its scratch
-    /// pool persists across dispatched batches.
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &crate::query::QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        engine.search_batch(
-            queries,
-            &self.points,
-            self.metric,
-            &self.graph,
-            Starts::Shared(&self.starts),
-            params,
-        )
-    }
-
     fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {
-        crate::range::range_search(
-            query,
-            &self.points,
-            self.metric,
-            &self.graph,
-            &self.starts,
-            params,
-        )
+        self.scratch.with(|scratch| {
+            crate::range::range_search(
+                scratch,
+                query,
+                &self.points,
+                self.metric,
+                &self.graph,
+                &self.starts,
+                params,
+            )
+        })
     }
 
     fn save_index(&self, path: &std::path::Path) -> std::io::Result<()> {

@@ -1,47 +1,33 @@
-//! The unified query engine: one execution layer for every index.
+//! The query layer every index shares.
 //!
 //! The paper's search side (Alg. 1, §4.5) is batch-parallel *across*
-//! queries; this module is the layer that owns that batch. It has three
-//! pieces:
+//! queries: each query is one sequential beam search, and a batch is a
+//! parallel loop over them. This module holds what that needs beyond the
+//! walk itself ([`crate::beam`]):
 //!
 //! * [`AnnIndex`] — the uniform interface every index in the workspace
 //!   implements (the four graph algorithms plus the IVF/PQ/LSH
-//!   baselines): single-query [`search`](AnnIndex::search), batched
-//!   [`search_batch`](AnnIndex::search_batch), fixed-radius
-//!   [`range_search`](AnnIndex::range_search), introspection
-//!   ([`stats`](AnnIndex::stats), [`kind`](AnnIndex::kind)), and the
-//!   persistence hook [`save_index`](AnnIndex::save_index) backing the
-//!   kind-tagged v2 file format in [`crate::io`].
+//!   baselines). The query surface is three methods: single-query
+//!   [`search`](AnnIndex::search), batched
+//!   [`search_batch`](AnnIndex::search_batch) (one task per query over
+//!   `search`, so results are bit-identical to it by construction) and
+//!   fixed-radius [`range_search`](AnnIndex::range_search); next to them
+//!   sit introspection ([`stats`](AnnIndex::stats),
+//!   [`kind`](AnnIndex::kind)) and the persistence hook
+//!   [`save_index`](AnnIndex::save_index) backing the kind-tagged v2 file
+//!   format in [`crate::io`].
 //!
-//! * [`QueryEngine`] — owns a pool of reusable scratch (frontier,
-//!   candidate pool, visited filter, padded query block) so steady-state
-//!   query execution performs **no per-query allocation**: a worker takes
-//!   one scratch, runs a whole block of queries through it, and returns
-//!   it to the pool. Which scratch a block gets never affects results
-//!   (every buffer is cleared per block), so determinism is preserved.
-//!
-//! * **Query-blocked beam search** ([`beam_search_block`]) — processes
-//!   `Q` queries per block over the shared graph in lockstep. Each round,
-//!   every live query expands its closest unvisited vertex; the resulting
-//!   (candidate vertex → requesting queries) multimap is grouped so each
-//!   candidate's row is loaded **once** and scored against all requesting
-//!   queries via [`ann_data::simd::distance_block`] (one row × Q queries
-//!   — rank-1 matrix work, the stepping stone to a GEMM path). Every
-//!   query's admission logic, visited filter, and merge sequence is the
-//!   single-query algorithm verbatim, so results are **bit-identical** to
-//!   one-at-a-time [`beam_search`](crate::beam::beam_search) at every
-//!   block size and thread count — the property tests assert exactly
-//!   this.
+//! * [`ScratchPool`] — the reusable working state (frontier, candidate
+//!   buffers, visited filter, padded query) behind every index's
+//!   `search`, so steady-state query execution performs **no per-query
+//!   allocation**. Which scratch a query gets never affects results
+//!   (every buffer is reset per search), so determinism is preserved.
 
-use crate::beam::{
-    admission_bounds, beam_search_into, cmp_dist, merge_dedup_into, sorted_difference_into,
-    GraphView, QueryParams, SearchScratch,
-};
+use crate::beam::{beam_search_into, GraphView, QueryParams, SearchScratch};
 use crate::graph::FlatGraph;
 use crate::range::RangeParams;
 use crate::stats::{BuildStats, SearchStats};
-use crate::visited::VisitedFilter;
-use ann_data::{Metric, PointSet, QueryBlock, VectorElem};
+use ann_data::{Metric, PointSet, VectorElem};
 use rayon::prelude::*;
 use std::sync::Mutex;
 
@@ -200,54 +186,23 @@ pub trait AnnIndex<T: VectorElem>: Sync {
         self.stats().dim
     }
 
-    /// Searches every query of `queries`, batch-parallel, returning
+    /// Searches every query of `queries`, batch-parallel — one task per
+    /// query, so even a two-query batch uses two workers — returning
     /// per-query results in input order.
     ///
     /// **Contract:** results are bit-identical to calling
     /// [`search`](Self::search) per query — batching may only change
-    /// execution layout, never outcomes. The graph indexes override this
-    /// with the query-blocked engine; the default runs independent
-    /// single-query searches in parallel (which satisfies the contract
-    /// trivially).
+    /// execution layout, never outcomes. The default is exactly that loop
+    /// (plus the per-query work histograms of the observability layer);
+    /// composite indexes override it to fan a whole batch out at once.
     fn search_batch(
         &self,
         queries: &PointSet<T>,
         params: &QueryParams,
     ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.search_batch_blocked(queries, params, default_block())
-    }
-
-    /// [`search_batch`](Self::search_batch) with an explicit engine block
-    /// size — the tuning/testing hook behind the `PARLAYANN_BLOCK`
-    /// default. Implementations without a blocked path ignore
-    /// `block_size` and run independent per-query searches (which
-    /// satisfies the bit-identity contract trivially).
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        _block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        parlay::tabulate(queries.len(), |q| self.search(queries.point(q), params))
-    }
-
-    /// [`search_batch`](Self::search_batch) through a **caller-owned**
-    /// [`QueryEngine`] — the serving hook. A long-lived caller (the
-    /// `parlayann_serve` front-end) keeps one engine for the lifetime of
-    /// the process so its scratch pool is reused across every dispatched
-    /// batch; the per-call engines the other entry points construct would
-    /// re-allocate scratch per batch instead. Same bit-identity contract
-    /// as `search_batch`. The default ignores the engine's pool and
-    /// defers to [`search_batch_blocked`](Self::search_batch_blocked)
-    /// at the engine's block size; the graph indexes override it to run
-    /// on the engine itself.
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.search_batch_blocked(queries, params, engine.block_size())
+        let results = parlay::tabulate(queries.len(), |q| self.search(queries.point(q), params));
+        engine_obs_record(&results, params.stats.enabled());
+        results
     }
 
     /// Reports (approximately) all points within `params.radius` of
@@ -286,588 +241,65 @@ pub trait AnnIndex<T: VectorElem>: Sync {
     }
 }
 
-/// Search entry points for a batch: one shared set (most graph indexes)
-/// or one per query (HNSW after its per-query upper-layer descent).
-#[derive(Clone, Copy)]
-pub enum Starts<'a> {
-    /// Every query starts from the same vertices.
-    Shared(&'a [u32]),
-    /// Query `q` (global index into the batch) starts from `starts[q]`.
-    PerQuery(&'a [Vec<u32>]),
-}
+/// A pool of reusable working state (`S` is a
+/// [`SearchScratch`](crate::beam::SearchScratch), or a baseline's
+/// equivalent). Every index owns one: `search` borrows a scratch for the
+/// duration of one query and returns it, so a batch running on `t` workers
+/// settles at `t` scratches and allocates nothing further.
+pub struct ScratchPool<S>(Mutex<Vec<S>>);
 
-impl Starts<'_> {
-    /// Entry points for query `q` (global index).
-    #[inline]
-    fn of(&self, q: usize) -> &[u32] {
-        match self {
-            Starts::Shared(s) => s,
-            Starts::PerQuery(per) => &per[q],
-        }
-    }
-}
-
-/// Per-query state of a blocked search: exactly the working set of the
-/// single-query loop, advanced one expansion per round.
-struct BlockQueryState {
-    frontier: Vec<(u32, f32)>,
-    visited: Vec<(u32, f32)>,
-    unvisited: Vec<(u32, f32)>,
-    candidates: Vec<(u32, f32)>,
-    merge_buf: Vec<(u32, f32)>,
-    filter: VisitedFilter,
-    stats: SearchStats,
-    /// Admission thresholds captured when this round's expansion was chosen.
-    worst: f32,
-    cut_bound: f32,
-    stepped: bool,
-    done: bool,
-}
-
-impl BlockQueryState {
-    fn new() -> Self {
-        BlockQueryState {
-            frontier: Vec::new(),
-            visited: Vec::new(),
-            unvisited: Vec::new(),
-            candidates: Vec::with_capacity(64),
-            merge_buf: Vec::new(),
-            filter: VisitedFilter::new(true, 64),
-            stats: SearchStats::default(),
-            worst: f32::INFINITY,
-            cut_bound: f32::INFINITY,
-            stepped: false,
-            done: false,
-        }
-    }
-
-    fn reset(&mut self, approx: bool, beam: usize) {
-        self.frontier.clear();
-        self.visited.clear();
-        self.unvisited.clear();
-        self.candidates.clear();
-        self.filter.reset(approx, beam);
-        self.stats = SearchStats::default();
-        self.worst = f32::INFINITY;
-        self.cut_bound = f32::INFINITY;
-        self.stepped = false;
-        self.done = false;
-    }
-}
-
-/// Reusable working state for one block of queries: the per-query search
-/// states plus the padded query block and the round's request/score
-/// buffers. Pooled by [`QueryEngine`]; all buffers are cleared per block.
-pub struct BlockScratch<T> {
-    states: Vec<BlockQueryState>,
-    block: QueryBlock<T>,
-    /// This round's requests, packed `(candidate vertex << 32) | query`.
-    requests: Vec<u64>,
-    /// Request grouping (see [`score_requests`]): per-request group id,
-    /// group → vertex, group → CSR offset, and the grouped scatter target.
-    group_of: Vec<u32>,
-    group_vertex: Vec<u32>,
-    group_offsets: Vec<u32>,
-    grouped_queries: Vec<u32>,
-    /// Open-addressed vertex → group table with generation stamps (O(1)
-    /// clear per round).
-    slot_key: Vec<u32>,
-    slot_group: Vec<u32>,
-    slot_gen: Vec<u32>,
-    gen: u32,
-    dists: Vec<f32>,
-}
-
-impl<T: VectorElem> BlockScratch<T> {
-    /// An empty scratch (buffers grow on first use).
+impl<S: Default> ScratchPool<S> {
+    /// An empty pool; scratches are created on demand.
     pub fn new() -> Self {
-        BlockScratch {
-            states: Vec::new(),
-            block: QueryBlock::new(1),
-            requests: Vec::new(),
-            group_of: Vec::new(),
-            group_vertex: Vec::new(),
-            group_offsets: Vec::new(),
-            grouped_queries: Vec::new(),
-            slot_key: Vec::new(),
-            slot_group: Vec::new(),
-            slot_gen: Vec::new(),
-            gen: 0,
-            dists: Vec::new(),
-        }
+        ScratchPool(Mutex::new(Vec::new()))
+    }
+
+    /// Runs `f` with a scratch from the pool (a fresh one when none is
+    /// free) and returns the scratch afterwards. The lock is held only to
+    /// pop and push, never while `f` runs; if `f` panics its scratch is
+    /// simply dropped.
+    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        let mut scratch = self.lock().pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        self.lock().push(scratch);
+        out
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<S>> {
+        // A push or pop cannot leave the vector half-updated, so a poisoned
+        // lock still guards a valid pool.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-impl<T: VectorElem> Default for BlockScratch<T> {
+impl<S: Default> Default for ScratchPool<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// Query-blocked beam search over queries `lo..hi` of `queries` (one
-/// block). Returns, per query, the up-to-`k` nearest `(id, distance)`
-/// pairs and that query's stats — bit-identical to running
-/// [`crate::beam::beam_search`] per query (see the module docs for why).
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_block<T: VectorElem, G: GraphView>(
-    scratch: &mut BlockScratch<T>,
-    queries: &PointSet<T>,
-    lo: usize,
-    hi: usize,
-    points: &PointSet<T>,
-    metric: Metric,
-    view: &G,
-    starts: Starts<'_>,
-    params: &QueryParams,
-) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-    use crate::beam::VisitedMode;
-    let q_count = hi - lo;
-    let track = params.stats.enabled();
-    let approx = params.visited == VisitedMode::Approx;
-
-    // Load the block's queries into padded, aligned rows and reset the
-    // per-query states (allocation reuse across blocks).
-    scratch.block.fill_from(queries, lo, hi, metric);
-    if scratch.states.len() < q_count {
-        scratch.states.resize_with(q_count, BlockQueryState::new);
-    }
-    for st in &mut scratch.states[..q_count] {
-        st.reset(approx, params.beam);
-    }
-
-    // Seed round: every query scores its (deduplicated) start vertices.
-    // Grouping by vertex means shared entry points — the common case, all
-    // queries starting at the medoid — load each start row exactly once.
-    scratch.requests.clear();
-    for j in 0..q_count {
-        let st = &mut scratch.states[j];
-        for &s in starts.of(lo + j) {
-            if !st.filter.test_and_insert(s) {
-                scratch.requests.push(((s as u64) << 32) | j as u64);
-            }
-        }
-    }
-    score_requests(scratch, points, metric, track, false);
-    for st in &mut scratch.states[..q_count] {
-        st.candidates.sort_by(cmp_dist);
-        st.frontier.extend_from_slice(&st.candidates);
-        st.frontier.truncate(params.beam);
-        st.unvisited.extend_from_slice(&st.frontier);
-        st.candidates.clear();
-    }
-
-    // Lockstep rounds: each live query expands its closest unvisited
-    // vertex; candidate scoring is grouped by vertex across the block.
-    loop {
-        scratch.requests.clear();
-        let mut any = false;
-        for j in 0..q_count {
-            let st = &mut scratch.states[j];
-            if st.done {
-                continue;
-            }
-            let Some(&current) = st.unvisited.first() else {
-                st.done = true;
-                continue;
-            };
-            if st.visited.len() >= params.limit {
-                st.done = true;
-                continue;
-            }
-            any = true;
-            st.stepped = true;
-            // Move `current` into the visited list (identical to the
-            // single-query loop).
-            let pos = st
-                .visited
-                .binary_search_by(|x| cmp_dist(x, &current))
-                .unwrap_or_else(|e| e);
-            st.visited.insert(pos, current);
-            if track {
-                st.stats.hops += 1;
-            }
-            let (worst, cut_bound) = admission_bounds(&st.frontier, params);
-            st.worst = worst;
-            st.cut_bound = cut_bound;
-            for &w in view.out_neighbors(current.0) {
-                if !st.filter.test_and_insert(w) {
-                    scratch.requests.push(((w as u64) << 32) | j as u64);
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-
-        score_requests(scratch, points, metric, track, true);
-
-        for st in scratch.states[..q_count].iter_mut().filter(|s| s.stepped) {
-            st.stepped = false;
-            st.candidates.sort_by(cmp_dist);
-            merge_dedup_into(&st.frontier, &st.candidates, params.beam, &mut st.merge_buf);
-            std::mem::swap(&mut st.frontier, &mut st.merge_buf);
-            sorted_difference_into(&st.frontier, &st.visited, &mut st.merge_buf);
-            std::mem::swap(&mut st.unvisited, &mut st.merge_buf);
-            st.candidates.clear();
-        }
-    }
-
-    scratch.states[..q_count]
-        .iter()
-        .map(|st| {
-            let mut out = st.frontier.clone();
-            out.truncate(params.k);
-            (out, st.stats)
+impl<T: VectorElem> ScratchPool<SearchScratch<T>> {
+    /// One exact beam search over a pooled scratch: the `params.k`
+    /// nearest of the final frontier, and the search's counters.
+    pub fn search<G: GraphView>(
+        &self,
+        query: &[T],
+        points: &PointSet<T>,
+        metric: Metric,
+        view: &G,
+        starts: &[u32],
+        params: &QueryParams,
+    ) -> (Vec<(u32, f32)>, SearchStats) {
+        self.with(|scratch| {
+            let stats = beam_search_into(scratch, query, points, metric, view, starts, params);
+            (scratch.top_k(params.k), stats)
         })
-        .collect()
-}
-
-/// Scores this round's grouped requests: for each distinct candidate
-/// vertex, the row is loaded once and evaluated against every requesting
-/// query via the rank-1 `distance_block` kernel. With `admit`, each
-/// query's captured admission thresholds filter the scored candidates
-/// (the seed round admits everything, like the single-query seed).
-fn score_requests<T: VectorElem>(
-    scratch: &mut BlockScratch<T>,
-    points: &PointSet<T>,
-    metric: Metric,
-    track: bool,
-    admit: bool,
-) {
-    /// How many distinct rows ahead to software-prefetch — the blocked
-    /// equivalent of `distance_batch`'s pipelining: group `g+2`'s row
-    /// streams in from DRAM while group `g` is scored.
-    const PREFETCH_GROUPS: usize = 2;
-
-    // Group requests by vertex in O(R): assign each distinct vertex a
-    // group id in first-appearance order via a generation-stamped
-    // open-addressing table (no per-round clearing, no sort — the sort
-    // this replaces was ~20% of blocked query time), then counting-sort
-    // the requests into CSR groups. Group order is a pure function of the
-    // request sequence, and per-query results never depend on it anyway
-    // (each query re-sorts its own candidates).
-    let r_count = scratch.requests.len();
-    if r_count == 0 {
-        return;
-    }
-    let table_size = (2 * r_count).next_power_of_two().max(64);
-    if scratch.slot_key.len() < table_size {
-        scratch.slot_key.resize(table_size, 0);
-        scratch.slot_group.resize(table_size, 0);
-        scratch.slot_gen = vec![0; table_size];
-        scratch.gen = 0;
-    }
-    scratch.gen = scratch.gen.wrapping_add(1);
-    if scratch.gen == 0 {
-        // Generation counter wrapped: stamp everything stale once.
-        scratch.slot_gen.fill(u32::MAX);
-        scratch.gen = 1;
-    }
-    let mask = scratch.slot_key.len() - 1;
-    scratch.group_vertex.clear();
-    scratch.group_of.clear();
-    scratch.group_offsets.clear();
-    for &r in &scratch.requests {
-        let v = (r >> 32) as u32;
-        let mut slot = (parlay::hash64(v as u64) as usize) & mask;
-        let g = loop {
-            if scratch.slot_gen[slot] != scratch.gen {
-                // First appearance: open a new group.
-                scratch.slot_gen[slot] = scratch.gen;
-                scratch.slot_key[slot] = v;
-                let g = scratch.group_vertex.len() as u32;
-                scratch.slot_group[slot] = g;
-                scratch.group_vertex.push(v);
-                scratch.group_offsets.push(0);
-                break g;
-            }
-            if scratch.slot_key[slot] == v {
-                break scratch.slot_group[slot];
-            }
-            slot = (slot + 1) & mask;
-        };
-        scratch.group_of.push(g);
-        scratch.group_offsets[g as usize] += 1;
-    }
-    // Exclusive prefix sum of group sizes, then scatter queries by group.
-    let mut acc = 0u32;
-    for off in &mut scratch.group_offsets {
-        let c = *off;
-        *off = acc;
-        acc += c;
-    }
-    scratch.grouped_queries.resize(r_count, 0);
-    {
-        // `group_offsets` doubles as the write cursor during the scatter.
-        let cursors = &mut scratch.group_offsets;
-        for (&r, &g) in scratch.requests.iter().zip(&scratch.group_of) {
-            let pos = cursors[g as usize];
-            scratch.grouped_queries[pos as usize] = r as u32;
-            cursors[g as usize] = pos + 1;
-        }
-        // Cursors now hold each group's END offset; group g spans
-        // `(g == 0 ? 0 : cursors[g-1])..cursors[g]`.
-    }
-
-    ann_data::simd::prefetch_read(points.padded_point(scratch.group_vertex[0] as usize));
-    let num_groups = scratch.group_vertex.len();
-    let mut start = 0usize;
-    for g in 0..num_groups {
-        let v = scratch.group_vertex[g];
-        let end = scratch.group_offsets[g] as usize;
-        // Prefetch rows of upcoming groups while this one is scored.
-        for ahead in &scratch.group_vertex
-            [(g + 1).min(num_groups)..(g + 1 + PREFETCH_GROUPS).min(num_groups)]
-        {
-            ann_data::simd::prefetch_read(points.padded_point(*ahead as usize));
-        }
-        let row = points.padded_point(v as usize);
-        if end - start == 1 {
-            // Singleton group (no sharing this round): skip the block
-            // kernel's per-call setup. Same kernels, same argument order,
-            // same reduction — bit-identical to the grouped path.
-            let j = scratch.grouped_queries[start];
-            let q = scratch.block.query(j as usize);
-            let d = match metric {
-                Metric::SquaredEuclidean => ann_data::squared_euclidean(q, row),
-                Metric::InnerProduct => -ann_data::dot(q, row),
-                Metric::Cosine => {
-                    let na = scratch.block.norm_squared(j as usize).sqrt();
-                    let nb = ann_data::norm_squared(row).sqrt();
-                    if na == 0.0 || nb == 0.0 {
-                        1.0
-                    } else {
-                        1.0 - ann_data::dot(q, row) / (na * nb)
-                    }
-                }
-            };
-            push_scored(&mut scratch.states[j as usize], v, d, track, admit);
-        } else {
-            let which = &scratch.grouped_queries[start..end];
-            scratch
-                .block
-                .score_row(row, which, metric, &mut scratch.dists);
-            for (&j, &d) in which.iter().zip(scratch.dists.iter()) {
-                push_scored(&mut scratch.states[j as usize], v, d, track, admit);
-            }
-        }
-        start = end;
-    }
-}
-
-/// Records one scored candidate on its query's state: count the
-/// comparison, apply the captured admission thresholds (rounds only — the
-/// seed admits everything), collect the survivor.
-#[inline(always)]
-fn push_scored(st: &mut BlockQueryState, v: u32, d: f32, track: bool, admit: bool) {
-    if track {
-        st.stats.dist_comps += 1;
-    }
-    if admit && (d >= st.worst || d > st.cut_bound) {
-        return;
-    }
-    st.candidates.push((v, d));
-}
-
-/// Default number of queries per block.
-///
-/// Guidance: bigger blocks increase shared-row hits (all queries in a
-/// block walk out of the same entry point) but grow the round's working
-/// set — Q frontiers plus Q padded queries should stay L2-resident.
-/// 8–32 is the useful range at typical beam widths; the engine accepts
-/// 1..=[`MAX_BLOCK`] and block size never affects results, only speed.
-pub const DEFAULT_BLOCK: usize = 16;
-
-/// Upper bound on the block size ([`QueryEngine::with_block_size`] clamps).
-pub const MAX_BLOCK: usize = 256;
-
-/// The block size [`QueryEngine::new`] uses: `PARLAYANN_BLOCK` if set
-/// (clamped to `1..=`[`MAX_BLOCK`]; 1 selects the per-query fast path),
-/// else [`DEFAULT_BLOCK`]. Read once per process.
-pub fn default_block() -> usize {
-    static BLOCK: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *BLOCK.get_or_init(|| {
-        std::env::var("PARLAYANN_BLOCK")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|b| b.clamp(1, MAX_BLOCK))
-            .unwrap_or(DEFAULT_BLOCK)
-    })
-}
-
-/// The batched query executor: splits a query set into blocks, runs
-/// blocks in parallel on the work-stealing pool, and reuses pooled
-/// [`BlockScratch`] across blocks so steady-state execution allocates
-/// nothing per query.
-///
-/// Results are a pure function of `(index, queries, params)`: block
-/// boundaries depend only on the query count, each block's result depends
-/// only on its own queries, and scratch reuse is observationally neutral
-/// (every buffer is cleared per block). So any block size and any thread
-/// count produce bit-identical output.
-pub struct QueryEngine<T> {
-    block_size: usize,
-    pool: Mutex<Vec<BlockScratch<T>>>,
-    single_pool: Mutex<Vec<SearchScratch<T>>>,
-}
-
-impl<T: VectorElem> QueryEngine<T> {
-    /// An engine with the default block size (see [`default_block`]).
-    pub fn new() -> Self {
-        Self::with_block_size(default_block())
-    }
-
-    /// An engine processing `block_size` queries per block (clamped to
-    /// `1..=`[`MAX_BLOCK`]). Block size 1 bypasses the blocking machinery
-    /// entirely: each query runs the single-query loop over a pooled
-    /// [`SearchScratch`] — per-query allocation is still gone, but rows
-    /// are loaded per query.
-    pub fn with_block_size(block_size: usize) -> Self {
-        QueryEngine {
-            block_size: block_size.clamp(1, MAX_BLOCK),
-            pool: Mutex::new(Vec::new()),
-            single_pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The configured block size.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Checks a [`BlockScratch`] out of the engine's pool, creating a
-    /// fresh one when the pool is empty. Pair with
-    /// [`checkin`](Self::checkin) when done — callers that drive
-    /// [`beam_search_block`] directly (e.g. a serving layer pinning one
-    /// scratch per worker thread) use this instead of `search_batch`.
-    /// Which scratch a caller gets never affects results (every buffer is
-    /// cleared per block), so checkout order is irrelevant.
-    pub fn checkout(&self) -> BlockScratch<T> {
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a scratch to the pool for reuse by later blocks.
-    pub fn checkin(&self, scratch: BlockScratch<T>) {
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(scratch);
-    }
-
-    /// Runs every query of `queries` against a graph `view`, blocked and
-    /// batch-parallel. Returns per-query `(top-k, stats)` in input order,
-    /// bit-identical to per-query [`crate::beam::beam_search`].
-    pub fn search_batch<G: GraphView>(
-        &self,
-        queries: &PointSet<T>,
-        points: &PointSet<T>,
-        metric: Metric,
-        view: &G,
-        starts: Starts<'_>,
-        params: &QueryParams,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        let nq = queries.len();
-        if nq == 0 {
-            return Vec::new();
-        }
-        if self.block_size == 1 {
-            let results = self.search_each(queries, points, metric, view, starts, params);
-            engine_obs_record(&results, params.stats.enabled());
-            return results;
-        }
-        let bs = self.block_size;
-        let per_block: Vec<Vec<(Vec<(u32, f32)>, SearchStats)>> = (0..nq.div_ceil(bs))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * bs;
-                let hi = ((b + 1) * bs).min(nq);
-                let mut scratch = self.checkout();
-                let out = beam_search_block(
-                    &mut scratch,
-                    queries,
-                    lo,
-                    hi,
-                    points,
-                    metric,
-                    view,
-                    starts,
-                    params,
-                );
-                self.checkin(scratch);
-                out
-            })
-            .collect();
-        let results: Vec<(Vec<(u32, f32)>, SearchStats)> =
-            per_block.into_iter().flatten().collect();
-        engine_obs_record(&results, params.stats.enabled());
-        results
-    }
-
-    /// Block-size-1 path: independent single-query searches over pooled
-    /// [`SearchScratch`] (allocation-free steady state, per-query row
-    /// loads). Chunked so one scratch serves many queries per pool visit.
-    fn search_each<G: GraphView>(
-        &self,
-        queries: &PointSet<T>,
-        points: &PointSet<T>,
-        metric: Metric,
-        view: &G,
-        starts: Starts<'_>,
-        params: &QueryParams,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        const CHUNK: usize = 32;
-        let nq = queries.len();
-        let per_chunk: Vec<Vec<(Vec<(u32, f32)>, SearchStats)>> = (0..nq.div_ceil(CHUNK))
-            .into_par_iter()
-            .map(|b| {
-                let lo = b * CHUNK;
-                let hi = ((b + 1) * CHUNK).min(nq);
-                let mut scratch = self
-                    .single_pool
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop()
-                    .unwrap_or_default();
-                let out: Vec<(Vec<(u32, f32)>, SearchStats)> = (lo..hi)
-                    .map(|q| {
-                        let stats = beam_search_into(
-                            &mut scratch,
-                            queries.point(q),
-                            points,
-                            metric,
-                            view,
-                            starts.of(q),
-                            params,
-                        );
-                        let mut res = scratch.frontier().to_vec();
-                        res.truncate(params.k);
-                        (res, stats)
-                    })
-                    .collect();
-                self.single_pool
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(scratch);
-                out
-            })
-            .collect();
-        per_chunk.into_iter().flatten().collect()
-    }
-}
-
-impl<T: VectorElem> Default for QueryEngine<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 /// Folds per-query engine work (distance computations, beam hops) into
 /// the global observability histograms. Runs once per batch *after* the
-/// results exist, off the lockstep hot loop; skipped entirely when the
+/// results exist, off the search hot loop; skipped entirely when the
 /// obs layer is off or the caller disabled stats tracking (the counters
 /// would all be zero). Telemetry only reads the stats — results are
 /// bit-identical with obs on or off.
@@ -906,23 +338,6 @@ fn engine_obs_record(results: &[(Vec<(u32, f32)>, SearchStats)], tracked: bool) 
     queries.add(results.len() as u64);
 }
 
-/// One-call query-blocked batch over a graph view — the shared body of
-/// the graph indexes' `search_batch_blocked` implementations (so a change
-/// to how the engine is invoked happens in exactly one place).
-#[allow(clippy::too_many_arguments)]
-pub fn search_batch_graph<T: VectorElem, G: GraphView>(
-    queries: &PointSet<T>,
-    points: &PointSet<T>,
-    metric: Metric,
-    view: &G,
-    starts: Starts<'_>,
-    params: &QueryParams,
-    block_size: usize,
-) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-    QueryEngine::with_block_size(block_size)
-        .search_batch(queries, points, metric, view, starts, params)
-}
-
 /// Deterministically merges per-query stats into batch totals via the
 /// shim's length-only `fold`/`reduce` tree (the same bits at any thread
 /// count; the counters are integers, so this is belt-and-braces — but it
@@ -943,111 +358,19 @@ pub fn aggregate_stats(results: &[(Vec<(u32, f32)>, SearchStats)]) -> SearchStat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::beam::beam_search;
-    use crate::graph::FlatGraph;
-
-    fn line_graph(n: usize) -> (PointSet<f32>, FlatGraph) {
-        let points = PointSet::from_rows(&(0..n).map(|i| vec![i as f32, 0.0]).collect::<Vec<_>>());
-        let mut g = FlatGraph::new(n, 4);
-        for i in 0..n {
-            let mut nbrs = Vec::new();
-            if i > 0 {
-                nbrs.push((i - 1) as u32);
-            }
-            if i + 1 < n {
-                nbrs.push((i + 1) as u32);
-            }
-            if i + 2 < n {
-                nbrs.push((i + 2) as u32);
-            }
-            g.set_neighbors(i as u32, &nbrs);
-        }
-        (points, g)
-    }
 
     #[test]
-    fn blocked_matches_single_query_bitwise() {
-        let (points, g) = line_graph(200);
-        let queries = PointSet::from_rows(
-            &(0..23)
-                .map(|i| vec![(i * 8) as f32 + 0.3, 0.0])
-                .collect::<Vec<_>>(),
-        );
-        let params = QueryParams {
-            beam: 8,
-            k: 4,
-            ..QueryParams::default()
-        };
-        for bs in [1usize, 2, 5, 23, 64] {
-            let engine = QueryEngine::with_block_size(bs);
-            let batched = engine.search_batch(
-                &queries,
-                &points,
-                Metric::SquaredEuclidean,
-                &g,
-                Starts::Shared(&[0]),
-                &params,
-            );
-            assert_eq!(batched.len(), queries.len());
-            for (q, (res, stats)) in batched.iter().enumerate() {
-                let solo = beam_search(
-                    queries.point(q),
-                    &points,
-                    Metric::SquaredEuclidean,
-                    &g,
-                    &[0],
-                    &params,
-                );
-                let mut want = solo.beam.clone();
-                want.truncate(params.k);
-                assert_eq!(res.len(), want.len(), "bs={bs} q={q}");
-                for (a, b) in res.iter().zip(&want) {
-                    assert_eq!(a.0, b.0, "bs={bs} q={q}");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "bs={bs} q={q}");
-                }
-                assert_eq!(*stats, solo.stats, "bs={bs} q={q}");
-            }
-        }
-    }
-
-    #[test]
-    fn stats_off_zeroes_counters_without_changing_results() {
-        let (points, g) = line_graph(120);
-        let queries = PointSet::from_rows(
-            &(0..7)
-                .map(|i| vec![(i * 15) as f32, 0.0])
-                .collect::<Vec<_>>(),
-        );
-        let on = QueryParams {
-            beam: 8,
-            ..QueryParams::default()
-        };
-        let off = QueryParams {
-            stats: crate::stats::StatsMode::Off,
-            ..on
-        };
-        let engine = QueryEngine::with_block_size(4);
-        let a = engine.search_batch(
-            &queries,
-            &points,
-            Metric::SquaredEuclidean,
-            &g,
-            Starts::Shared(&[0]),
-            &on,
-        );
-        let b = engine.search_batch(
-            &queries,
-            &points,
-            Metric::SquaredEuclidean,
-            &g,
-            Starts::Shared(&[0]),
-            &off,
-        );
-        for ((ra, sa), (rb, sb)) in a.iter().zip(&b) {
-            assert_eq!(ra, rb);
-            assert!(sa.dist_comps > 0);
-            assert_eq!(*sb, SearchStats::default());
-        }
+    fn scratch_pool_reuses_what_it_hands_out() {
+        let pool: ScratchPool<Vec<u32>> = ScratchPool::new();
+        pool.with(|s| s.push(7));
+        // The same vector comes back, contents and all.
+        assert_eq!(pool.with(|s| s.clone()), vec![7]);
+        // A nested borrow gets a second scratch; both return to the pool.
+        pool.with(|outer| {
+            pool.with(|inner| assert!(inner.is_empty()));
+            assert_eq!(*outer, vec![7]);
+        });
+        assert_eq!(pool.lock().len(), 2);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! with DiskANN-style graphs; the SSNPP column of paper Fig. 7 is the
 //! range-search dataset the authors had in scope.
 
-use crate::beam::{beam_search, GraphView, QueryParams};
+use crate::beam::{beam_search_into, cmp_dist, GraphView, QueryParams, SearchScratch};
 use crate::stats::SearchStats;
 use ann_data::{distance_batch, Metric, PointSet, VectorElem};
 
@@ -42,8 +42,10 @@ impl Default for RangeParams {
 }
 
 /// Reports (approximately) all points within `params.radius` of `query`,
-/// sorted by distance.
+/// sorted by distance. `scratch` is the navigation phase's working state
+/// (any scratch will do; it is reset per search).
 pub fn range_search<T: VectorElem, G: GraphView>(
+    scratch: &mut SearchScratch<T>,
     query: &[T],
     points: &PointSet<T>,
     metric: Metric,
@@ -62,7 +64,6 @@ pub fn range_search<T: VectorElem, G: GraphView>(
     /// smaller than the 1-NN distance).
     const MAX_EMPTY_BEAM: usize = 512;
     let mut beam_width = params.beam.max(8);
-    let mut nav;
     let mut stats;
     loop {
         let qp = QueryParams {
@@ -73,11 +74,11 @@ pub fn range_search<T: VectorElem, G: GraphView>(
             visited: crate::beam::VisitedMode::Exact,
             stats: crate::stats::StatsMode::Counters,
         };
-        nav = beam_search(query, points, metric, view, starts, &qp);
-        stats = nav.stats;
-        let reached = nav.beam.first().is_some_and(|&(_, d)| d <= params.radius);
-        let exhausted = nav.beam.len() < beam_width;
-        let extends = exhausted || nav.beam.last().is_none_or(|&(_, d)| d > expand_bound);
+        stats = beam_search_into(scratch, query, points, metric, view, starts, &qp);
+        let nav = scratch.frontier();
+        let reached = nav.first().is_some_and(|&(_, d)| d <= params.radius);
+        let exhausted = nav.len() < beam_width;
+        let extends = exhausted || nav.last().is_none_or(|&(_, d)| d > expand_bound);
         if (reached && extends)
             || beam_width >= points.len()
             || (!reached && beam_width >= MAX_EMPTY_BEAM)
@@ -98,7 +99,12 @@ pub fn range_search<T: VectorElem, G: GraphView>(
             stack.push(id);
         }
     };
-    for &(id, d) in nav.beam.iter().chain(nav.visited.iter()) {
+    // (Seeding order decides the flood's stack order, hence which vertices
+    // a `limit` cuts off: frontier first, then the expanded vertices in
+    // `(dist, id)` order.)
+    let mut navigated = scratch.expanded().to_vec();
+    navigated.sort_by(cmp_dist);
+    for &(id, d) in scratch.frontier().iter().chain(navigated.iter()) {
         if seen.insert(id) {
             seed(id, d, &mut stack, &mut results);
         }
@@ -127,7 +133,7 @@ pub fn range_search<T: VectorElem, G: GraphView>(
             seed(w, d, &mut stack, &mut results);
         }
     }
-    results.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    results.sort_by(cmp_dist);
     (results, stats)
 }
 
@@ -138,14 +144,17 @@ impl<T: VectorElem> crate::diskann::VamanaIndex<T> {
         query: &[T],
         params: &RangeParams,
     ) -> (Vec<(u32, f32)>, SearchStats) {
-        range_search(
-            query,
-            self.points(),
-            self.metric,
-            &self.graph,
-            &[self.start],
-            params,
-        )
+        self.scratch.with(|scratch| {
+            range_search(
+                scratch,
+                query,
+                self.points(),
+                self.metric,
+                &self.graph,
+                &[self.start],
+                params,
+            )
+        })
     }
 }
 

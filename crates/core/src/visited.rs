@@ -6,40 +6,83 @@
 //! position and overwrite-on-collision. A lookup can say "not seen" for a
 //! vertex that was seen (it was evicted — the vertex is simply revisited),
 //! but never "seen" for an unseen vertex, so correctness is unaffected.
-//! The table is sized at the square of the beam width: collisions are rare
-//! and the table fits in L1 cache. The paper credits this with a 28.6–44.5%
-//! search speedup; the `ablations` experiment reproduces the comparison.
+//! The paper credits this with a 28.6–44.5% search speedup; the `ablations`
+//! experiment reproduces the comparison.
+//!
+//! The table is sized at the square of the beam width, capped at 2¹⁶
+//! slots, so collisions are rare. A slot is 8 bytes (an epoch stamp and
+//! the id): 32 KB at beam 64 — L1-sized — but **512 KB at beam 256**,
+//! which lives in L2, not L1. A search touches only the few thousand
+//! slots its scanned edges hash to, and starting the next search costs one
+//! increment whatever the table size: slots stamped with an older epoch
+//! read as empty (CAGRA's "forgettable" hash table, PAPERS.md). Only when
+//! the 32-bit epoch wraps, once per 2³² searches, is the table zeroed.
 
 use parlay::hash64;
 
-const EMPTY: u32 = u32::MAX;
-
 /// Approximate membership filter over `u32` ids with one-sided error.
 pub struct ApproxFilter {
-    slots: Vec<u32>,
+    /// `(epoch << 32) | id`; epoch 0 is never current, so zeroed slots
+    /// are empty. May be longer than `mask + 1` after a wider search.
+    slots: Vec<u64>,
     mask: u64,
+    epoch: u32,
+    /// Upper bound on the slots a reset may select; tests lower it to
+    /// force evictions.
+    #[cfg(test)]
+    slot_cap: usize,
 }
 
 impl ApproxFilter {
     /// Table size used for a beam of width `beam` (`beam²`, rounded to a
     /// power of two and clamped to `[64, 2¹⁶]`).
     pub fn size_for_beam(beam: usize) -> usize {
-        (beam * beam).next_power_of_two().clamp(64, 1 << 16)
+        beam.saturating_mul(beam)
+            .clamp(64, 1 << 16)
+            .next_power_of_two()
     }
 
     /// A filter sized for a beam of width `beam` (see
     /// [`Self::size_for_beam`]).
     pub fn for_beam(beam: usize) -> Self {
-        let size = Self::size_for_beam(beam);
+        let mut filter = Self::without_table();
+        filter.reset(beam);
+        filter
+    }
+
+    /// A filter with no table yet; [`reset`](Self::reset) sizes it.
+    fn without_table() -> Self {
         ApproxFilter {
-            slots: vec![EMPTY; size],
-            mask: (size - 1) as u64,
+            slots: Vec::new(),
+            mask: 0,
+            epoch: 0,
+            #[cfg(test)]
+            slot_cap: 1 << 16,
         }
     }
 
-    /// Empties the filter, retaining its allocation (scratch-reuse path).
-    pub fn clear(&mut self) {
-        self.slots.fill(EMPTY);
+    /// Empties the filter and sizes it for `beam`. The allocation only
+    /// ever grows: a narrower search masks down to a prefix of the table,
+    /// whose stale entries the new epoch hides.
+    pub fn reset(&mut self, beam: usize) {
+        let size = Self::size_for_beam(beam);
+        #[cfg(test)]
+        let size = size.min(self.slot_cap);
+        if self.slots.len() < size {
+            self.slots = vec![0; size];
+            self.epoch = 0;
+        }
+        self.mask = (size - 1) as u64;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    #[inline]
+    fn key(&self, id: u32) -> u64 {
+        (self.epoch as u64) << 32 | id as u64
     }
 
     /// Inserts `id`; returns `true` if `id` was already present.
@@ -47,10 +90,11 @@ impl ApproxFilter {
     #[inline]
     pub fn test_and_insert(&mut self, id: u32) -> bool {
         let slot = (hash64(id as u64) & self.mask) as usize;
-        if self.slots[slot] == id {
+        let key = self.key(id);
+        if self.slots[slot] == key {
             true
         } else {
-            self.slots[slot] = id;
+            self.slots[slot] = key;
             false
         }
     }
@@ -59,51 +103,71 @@ impl ApproxFilter {
     #[inline]
     pub fn contains(&self, id: u32) -> bool {
         let slot = (hash64(id as u64) & self.mask) as usize;
-        self.slots[slot] == id
+        self.slots[slot] == self.key(id)
+    }
+
+    /// Jumps the epoch counter, so tests can cross its wrap-around.
+    #[cfg(test)]
+    pub(crate) fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
+
+    /// Caps every later reset at `cap` slots (a power of two).
+    #[cfg(test)]
+    pub(crate) fn set_slot_cap(&mut self, cap: usize) {
+        assert!(cap.is_power_of_two());
+        self.slot_cap = cap;
     }
 }
 
 /// Exact or approximate visited filter; the exact variant exists for the
-/// §4.5 ablation (and as a reference implementation for tests).
-pub enum VisitedFilter {
-    /// The paper's approximate table.
-    Approx(ApproxFilter),
-    /// An exact hash set.
-    Exact(std::collections::HashSet<u32>),
+/// §4.5 ablation (and as a reference implementation for tests). Both
+/// tables are kept across [`reset`](Self::reset)s, so one scratch can
+/// alternate modes without reallocating.
+pub struct VisitedFilter {
+    approx: ApproxFilter,
+    exact: std::collections::HashSet<u32>,
+    use_exact: bool,
 }
 
 impl VisitedFilter {
     /// Builds the filter variant requested by the query parameters.
     pub fn new(approx: bool, beam: usize) -> Self {
-        if approx {
-            VisitedFilter::Approx(ApproxFilter::for_beam(beam))
-        } else {
-            VisitedFilter::Exact(std::collections::HashSet::with_capacity(4 * beam))
-        }
+        let mut filter = VisitedFilter {
+            approx: ApproxFilter::without_table(),
+            exact: std::collections::HashSet::new(),
+            use_exact: false,
+        };
+        filter.reset(approx, beam);
+        filter
     }
 
     /// Inserts `id`; returns whether it was already present.
     #[inline]
     pub fn test_and_insert(&mut self, id: u32) -> bool {
-        match self {
-            VisitedFilter::Approx(f) => f.test_and_insert(id),
-            VisitedFilter::Exact(s) => !s.insert(id),
+        if self.use_exact {
+            !self.exact.insert(id)
+        } else {
+            self.approx.test_and_insert(id)
         }
     }
 
     /// Re-initializes for a new search with the given configuration,
-    /// reusing the existing allocation when variant and size match (the
+    /// reusing the existing allocations (the
     /// [`SearchScratch`](crate::beam::SearchScratch) reuse path).
     pub fn reset(&mut self, approx: bool, beam: usize) {
-        match self {
-            VisitedFilter::Approx(f)
-                if approx && f.slots.len() == ApproxFilter::size_for_beam(beam) =>
-            {
-                f.clear()
-            }
-            VisitedFilter::Exact(s) if !approx => s.clear(),
-            other => *other = VisitedFilter::new(approx, beam),
+        self.use_exact = !approx;
+        if approx {
+            self.approx.reset(beam);
+        } else {
+            self.exact.clear();
         }
+    }
+
+    /// The approximate table (tests cap its size and move its epoch).
+    #[cfg(test)]
+    pub(crate) fn approx_mut(&mut self) -> &mut ApproxFilter {
+        &mut self.approx
     }
 }
 
@@ -134,10 +198,8 @@ mod tests {
     #[test]
     fn eviction_causes_revisit_not_corruption() {
         // Force collisions with a tiny table.
-        let mut f = ApproxFilter {
-            slots: vec![EMPTY; 64],
-            mask: 63,
-        };
+        let mut f = ApproxFilter::for_beam(8);
+        assert_eq!(f.slots.len(), 64);
         // Insert many ids; earlier ones may be evicted. Re-inserting an
         // evicted id returns false (treated as unseen) — a revisit.
         for id in 0..1000u32 {
@@ -147,8 +209,8 @@ mod tests {
         assert!(revisits > 0, "expected evictions in a 64-slot table");
         // But anything it claims to contain really was inserted.
         for slot in &f.slots {
-            if *slot != EMPTY {
-                assert!(*slot < 1000);
+            if *slot != 0 {
+                assert!((*slot as u32) < 1000);
             }
         }
     }
@@ -159,6 +221,35 @@ mod tests {
         let big = ApproxFilter::for_beam(128);
         assert!(small.slots.len() >= 64);
         assert_eq!(big.slots.len(), (128usize * 128).next_power_of_two());
+        assert_eq!(ApproxFilter::size_for_beam(usize::MAX), 1 << 16);
+    }
+
+    #[test]
+    fn reset_forgets_everything_including_across_the_epoch_wrap() {
+        let mut f = ApproxFilter::for_beam(16);
+        for start in [1u32, u32::MAX - 1] {
+            f.set_epoch(start);
+            for _ in 0..4 {
+                f.test_and_insert(3);
+                f.test_and_insert(99);
+                f.reset(16);
+                assert!(!f.contains(3) && !f.contains(99));
+                assert!(!f.test_and_insert(3));
+            }
+        }
+    }
+
+    #[test]
+    fn narrower_reset_keeps_the_allocation_and_hides_stale_entries() {
+        let mut f = ApproxFilter::for_beam(64);
+        let len = f.slots.len();
+        for id in 0..500u32 {
+            f.test_and_insert(id);
+        }
+        f.reset(8);
+        assert_eq!(f.slots.len(), len);
+        assert_eq!(f.mask, 63);
+        assert!((0..500u32).all(|id| !f.contains(id)));
     }
 
     #[test]
@@ -166,5 +257,9 @@ mod tests {
         let mut f = VisitedFilter::new(false, 8);
         assert!(!f.test_and_insert(3));
         assert!(f.test_and_insert(3));
+        f.reset(true, 8);
+        assert!(!f.test_and_insert(3));
+        f.reset(false, 8);
+        assert!(!f.test_and_insert(3));
     }
 }

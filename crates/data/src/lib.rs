@@ -29,5 +29,5 @@ pub mod simd;
 pub use datasets::{bigann_like, msspacev_like, text2image_like, Dataset};
 pub use distance::{distance, distance_batch, dot, norm_squared, squared_euclidean, Metric};
 pub use ground_truth::{compute_ground_truth, recall_ids, recall_with_dists, GroundTruth};
-pub use point::{PointSet, QueryBlock, VectorElem};
-pub use simd::{distance_block, simd_level, SimdLevel};
+pub use point::{PointSet, VectorElem};
+pub use simd::{simd_level, SimdLevel};

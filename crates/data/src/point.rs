@@ -418,160 +418,6 @@ impl<T> Clone for PointSet<T> {
     }
 }
 
-/// A block of `Q` queries stored contiguously with padded, 64-byte-aligned
-/// rows — the layout [`crate::simd::distance_block`] consumes on its
-/// rank-1 (one point row × many queries) path.
-///
-/// Rows follow the same contract as [`PointSet`] storage: stride
-/// [`crate::simd::padded_dim`], zero-filled tail, every row on a
-/// cache-line boundary. The squared norm of each query is cached at fill
-/// time (one extra kernel pass per query) so cosine scoring touches each
-/// query row once per candidate instead of three times.
-///
-/// The block is reusable: [`clear`](QueryBlock::clear) resets it without
-/// releasing its allocation, which is how the query engine's per-thread
-/// scratch avoids per-batch allocation.
-pub struct QueryBlock<T> {
-    data: AlignedBuf<T>,
-    dim: usize,
-    stride: usize,
-    len: usize,
-    norms_sq: Vec<f32>,
-}
-
-impl<T: VectorElem> QueryBlock<T> {
-    /// An empty block for `dim`-dimensional queries.
-    pub fn new(dim: usize) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        QueryBlock {
-            data: AlignedBuf::with_capacity(0),
-            dim,
-            stride: simd::padded_dim::<T>(dim),
-            len: 0,
-            norms_sq: Vec::new(),
-        }
-    }
-
-    /// Empties the block, keeping its allocation for reuse. If `dim`
-    /// differs from the current dimensionality the block is re-shaped.
-    pub fn reset(&mut self, dim: usize) {
-        assert!(dim > 0, "dimension must be positive");
-        if dim != self.dim {
-            *self = QueryBlock::new(dim);
-            return;
-        }
-        self.data.clear();
-        self.norms_sq.clear();
-        self.len = 0;
-    }
-
-    /// Appends one query (length [`Self::dim`]), padding it to the row
-    /// stride and caching its squared norm.
-    pub fn push(&mut self, query: &[T]) {
-        self.push_opt(query, true);
-    }
-
-    /// [`push`](Self::push), optionally skipping the norm pass: only the
-    /// cosine scoring path ever reads the cached norms, so callers on
-    /// other metrics avoid one full kernel pass per query.
-    pub fn push_opt(&mut self, query: &[T], with_norm: bool) {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        self.data.extend_from_slice(query);
-        self.data.extend_zeroed(self.stride - self.dim);
-        self.len += 1;
-        if with_norm {
-            // Norm over the padded row == norm over the logical query (zero
-            // padding), computed with the same dispatched kernel `distance`
-            // uses, so cached and recomputed norms are bit-identical.
-            self.norms_sq
-                .push(crate::distance::norm_squared(self.query(self.len - 1)));
-        }
-    }
-
-    /// Fills the block with queries `lo..hi` of `queries` (replacing any
-    /// previous contents, reusing the allocation). Norms are computed only
-    /// when `metric` reads them (cosine).
-    pub fn fill_from(
-        &mut self,
-        queries: &PointSet<T>,
-        lo: usize,
-        hi: usize,
-        metric: crate::distance::Metric,
-    ) {
-        self.reset(queries.dim());
-        let with_norms = metric == crate::distance::Metric::Cosine;
-        for q in lo..hi {
-            self.push_opt(queries.point(q), with_norms);
-        }
-    }
-
-    /// Number of queries in the block.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Logical dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Row stride in elements.
-    pub fn padded_dim(&self) -> usize {
-        self.stride
-    }
-
-    /// The `j`-th query's padded row (length [`Self::padded_dim`]).
-    #[inline]
-    pub fn query(&self, j: usize) -> &[T] {
-        &self.data.as_slice()[j * self.stride..(j + 1) * self.stride]
-    }
-
-    /// The whole block as one flat `len × stride` slice.
-    #[inline]
-    pub fn flat(&self) -> &[T] {
-        self.data.as_slice()
-    }
-
-    /// Cached squared norm of query `j` (used by the cosine path).
-    #[inline]
-    pub fn norm_squared(&self, j: usize) -> f32 {
-        self.norms_sq[j]
-    }
-
-    /// All cached squared norms.
-    #[inline]
-    pub fn norms_squared(&self) -> &[f32] {
-        &self.norms_sq
-    }
-
-    /// Scores one padded point row against the queries selected by
-    /// `which`, writing `out[i] = distance(query[which[i]], row)`. See
-    /// [`crate::simd::distance_block`] for the bit-identity contract.
-    #[inline]
-    pub fn score_row(
-        &self,
-        row: &[T],
-        which: &[u32],
-        metric: crate::distance::Metric,
-        out: &mut Vec<f32>,
-    ) {
-        simd::distance_block(
-            row,
-            self.flat(),
-            self.stride,
-            &self.norms_sq,
-            which,
-            metric,
-            out,
-        );
-    }
-}
-
 impl<T: PartialEq> PartialEq for PointSet<T> {
     fn eq(&self, other: &Self) -> bool {
         // Equal dims imply equal strides, and padding is always zero, so
@@ -673,38 +519,6 @@ mod tests {
         let ps = PointSet::new(vec![0.0f32, 10.0, 2.0, 20.0], 2);
         let c = ps.centroid_f64();
         assert_eq!(c, vec![1.0, 15.0]);
-    }
-
-    #[test]
-    fn query_block_layout_and_reuse() {
-        let ps = PointSet::new((0u8..30).collect::<Vec<_>>(), 3);
-        let mut block = QueryBlock::new(3);
-        block.fill_from(&ps, 2, 6, crate::distance::Metric::Cosine);
-        assert_eq!(block.len(), 4);
-        assert_eq!(block.padded_dim(), ps.padded_dim());
-        for j in 0..block.len() {
-            let row = block.query(j);
-            assert_eq!(row.len(), block.padded_dim());
-            assert_eq!(row.as_ptr() as usize % 64, 0, "query {j} misaligned");
-            assert_eq!(&row[..3], ps.point(2 + j));
-            assert!(row[3..].iter().all(|&x| x == 0), "padding not zero");
-            // Cached norms match the padded pad_query layout exactly.
-            let padded = ps.pad_query(ps.point(2 + j));
-            assert_eq!(
-                block.norm_squared(j).to_bits(),
-                crate::distance::norm_squared(&padded).to_bits()
-            );
-        }
-        // Reuse: refill with a different range; stale contents must not leak
-        // into padding or norms.
-        block.fill_from(&ps, 0, 2, crate::distance::Metric::Cosine);
-        assert_eq!(block.len(), 2);
-        assert_eq!(&block.query(0)[..3], ps.point(0));
-        assert!(block.query(1)[3..].iter().all(|&x| x == 0));
-        // Reshape to a different dimensionality.
-        block.reset(5);
-        assert_eq!(block.dim(), 5);
-        assert!(block.is_empty());
     }
 
     #[test]

@@ -213,73 +213,6 @@ pub fn prefetch_read<T>(row: &[T]) {
     }
 }
 
-/// Rank-1 block scoring: one point row against many queries.
-///
-/// `queries` is a flat `Q × stride` padded block (the
-/// [`crate::QueryBlock`] layout); `which` selects the queries to score;
-/// `out[i]` receives the distance between `queries[which[i]]` and `row`
-/// under `metric`. `query_norms_sq` carries each query's cached squared
-/// norm and is only read on the cosine path (pass `&[]` otherwise).
-///
-/// This is the kernel behind query-blocked beam search: when a block of
-/// queries expands the same graph vertex, its row is loaded once and
-/// scored against the whole block — turning Q independent row loads into
-/// one load plus Q register-resident evaluations (rank-1 matrix work; a
-/// transposed-layout GEMM path is the natural next step).
-///
-/// **Bit-identity contract** (the "sequential fallback"): every produced
-/// distance equals a one-off [`crate::distance`] evaluation of the same
-/// pair, bit for bit. Each pair goes through the identical dispatched
-/// kernel with identical argument order; the cosine row norm is hoisted
-/// out of the loop but computed by the same kernel from the same input,
-/// so hoisting cannot change the bits. The property tests assert this
-/// over all metrics, dimensions, and element types.
-pub fn distance_block<T: crate::point::VectorElem>(
-    row: &[T],
-    queries: &[T],
-    stride: usize,
-    query_norms_sq: &[f32],
-    which: &[u32],
-    metric: crate::distance::Metric,
-    out: &mut Vec<f32>,
-) {
-    use crate::distance::Metric;
-    debug_assert_eq!(row.len(), stride, "row must be one padded stride");
-    out.clear();
-    out.reserve(which.len());
-    // Hoisted once per row on the cosine path (identical bits to the
-    // per-pair computation `distance` performs).
-    let row_norm = if metric == Metric::Cosine {
-        crate::distance::norm_squared(row).sqrt()
-    } else {
-        0.0
-    };
-    for (i, &j) in which.iter().enumerate() {
-        // Prefetch the next selected query row while this one is scored
-        // (the row itself stays register/L1-resident across the block).
-        if let Some(&ahead) = which.get(i + 1) {
-            let a = ahead as usize;
-            prefetch_read(&queries[a * stride..(a + 1) * stride]);
-        }
-        let j = j as usize;
-        let q = &queries[j * stride..(j + 1) * stride];
-        let d = match metric {
-            Metric::SquaredEuclidean => T::kernel_squared_euclidean(q, row),
-            Metric::InnerProduct => -T::kernel_dot(q, row),
-            Metric::Cosine => {
-                let na = query_norms_sq[j].sqrt();
-                let nb = row_norm;
-                if na == 0.0 || nb == 0.0 {
-                    1.0
-                } else {
-                    1.0 - T::kernel_dot(q, row) / (na * nb)
-                }
-            }
-        };
-        out.push(d);
-    }
-}
-
 pub mod scalar {
     //! Portable reference kernels.
     //!
@@ -1863,64 +1796,6 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         assert!(l1 >= SimdLevel::Sse2 || std::env::var("PARLAYANN_SIMD").is_ok());
         assert!(!l1.name().is_empty());
-    }
-
-    #[test]
-    fn distance_block_bit_identical_to_single_distance() {
-        use crate::distance::{distance, Metric};
-        use crate::point::{PointSet, QueryBlock};
-        for dim in [1usize, 7, 16, 64, 100, 130] {
-            let rows: Vec<Vec<f32>> = (0..8).map(|r| f32_vec(dim, 100 + r)).collect();
-            let points = PointSet::from_rows(&rows);
-            let mut block = QueryBlock::new(dim);
-            for q in 0..4 {
-                block.push(&f32_vec(dim, 200 + q));
-            }
-            let which: Vec<u32> = vec![2, 0, 3, 3, 1];
-            let mut out = Vec::new();
-            for metric in [
-                Metric::SquaredEuclidean,
-                Metric::InnerProduct,
-                Metric::Cosine,
-            ] {
-                for r in 0..points.len() {
-                    block.score_row(points.padded_point(r), &which, metric, &mut out);
-                    assert_eq!(out.len(), which.len());
-                    for (i, &j) in which.iter().enumerate() {
-                        let want =
-                            distance(block.query(j as usize), points.padded_point(r), metric);
-                        assert_eq!(
-                            out[i].to_bits(),
-                            want.to_bits(),
-                            "dim={dim} metric={metric:?} row={r} q={j}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn distance_block_u8_exact() {
-        use crate::distance::{distance, Metric};
-        use crate::point::{PointSet, QueryBlock};
-        let points = PointSet::new((0u8..=199).collect::<Vec<_>>(), 10);
-        let mut block = QueryBlock::new(10);
-        block.push(&u8_vec(10, 5));
-        block.push(&u8_vec(10, 9));
-        let which = vec![0u32, 1];
-        let mut out = Vec::new();
-        for metric in [Metric::SquaredEuclidean, Metric::InnerProduct] {
-            for r in 0..points.len() {
-                block.score_row(points.padded_point(r), &which, metric, &mut out);
-                for (i, &j) in which.iter().enumerate() {
-                    assert_eq!(
-                        out[i],
-                        distance(block.query(j as usize), points.padded_point(r), metric)
-                    );
-                }
-            }
-        }
     }
 
     #[test]

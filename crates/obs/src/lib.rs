@@ -181,7 +181,7 @@ impl Obs {
 
 /// The process-wide observability domain. Mode comes from the
 /// `PARLAYANN_OBS` environment variable, read once (like
-/// `PARLAYANN_BLOCK`): `off`, `0` or `false` disable; default is on.
+/// `PARLAYANN_SIMD`): `off`, `0` or `false` disable; default is on.
 /// The slow-query threshold comes from `PARLAYANN_SLOW_US`
 /// (microseconds, default 10_000).
 pub fn global() -> &'static Obs {

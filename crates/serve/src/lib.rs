@@ -1,16 +1,16 @@
 //! # parlayann-serve — deadline-batched online serving
 //!
-//! Turns the batch-oriented query engine of [`parlayann::QueryEngine`]
-//! into an online serving system, LANNS-style: many client threads submit
-//! *single* queries; a coalescer groups them into query blocks under a
-//! dual trigger — **block full** (batch bound reached) or **deadline**
-//! (the oldest waiting request's latency budget elapsed) — and a worker
-//! pool executes the blocks through the engine's query-blocked,
-//! scratch-pooled batch path.
+//! Turns the batch-parallel [`parlayann::AnnIndex::search_batch`] into an
+//! online serving system, LANNS-style: many client threads submit
+//! *single* queries; a coalescer groups them into batches under a dual
+//! trigger — **block full** (batch bound reached) or **deadline** (the
+//! oldest waiting request's latency budget elapsed) — and a worker pool
+//! executes each batch as one `search_batch` call: one task per query on
+//! the work-stealing pool, each over a scratch from the index's pool.
 //!
 //! The ParlayANN determinism guarantee is what makes this layer strictly
-//! testable: the engine's batched search is bit-identical to per-query
-//! search at any block size and thread count, so a served response is
+//! testable: batched search is bit-identical to per-query search at any
+//! batch composition and thread count, so a served response is
 //! **bit-identical to a direct `search_batch`** of the same query no
 //! matter how requests happen to be coalesced under load. The stress
 //! tests assert exactly that.
@@ -27,7 +27,7 @@
 //! * [`Server`] — the front-end: `submit(query, k, budget)` →
 //!   [`ResponseHandle`], background coalescer + workers (or the
 //!   deterministic [`Server::pump`] mode), graceful draining shutdown,
-//!   aggregate stats gated on the engine's `StatsMode`.
+//!   aggregate stats gated on the query parameters' `StatsMode`.
 
 pub mod clock;
 pub mod coalescer;
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn batch_panic_fails_only_the_unrecoverable_request() {
         // An index where exactly one query is poisoned: the batch path
-        // panics (the engine propagates the row's panic batch-wide), but
+        // panics (the parallel loop propagates the row's panic batch-wide), but
         // the per-request isolation retry must answer every clean row and
         // fail only the poisoned one.
         struct PoisonIndex;

@@ -1,19 +1,19 @@
 //! The serving front-end: threads + channels around the coalescer.
 //!
 //! ```text
-//!  clients                server                            engine
-//!  ───────                ──────                            ──────
+//!  clients                server                            index
+//!  ───────                ──────                            ─────
 //!  submit(q,k,budget) ──► Coalescer (FIFO, dual trigger) ─► worker: assemble
 //!        │                  │  full → dispatch               PointSet, run
-//!        ▼                  │  deadline → dispatch            search_batch_in
-//!  ResponseHandle ◄──────── └─ row i of batch → request i ◄─ (pooled scratch)
-//!        .wait()
+//!        ▼                  │  deadline → dispatch            search_batch
+//!  ResponseHandle ◄──────── └─ row i of batch → request i ◄─ (one task per
+//!        .wait()                                               query)
 //! ```
 //!
 //! Pure std: the submit queue is a mutex-protected [`Coalescer`] with a
 //! condvar, dispatch is an mpsc channel drained by a small pool of worker
 //! threads, and each response travels back through the one-shot slot
-//! inside its [`ResponseHandle`]. Determinism inherits from the engine:
+//! inside its [`ResponseHandle`]. Determinism inherits from the index:
 //! whatever batches the coalescer happens to form, every response is
 //! bit-identical to a direct [`AnnIndex::search_batch`] of the same query
 //! — batching changes latency, never results.
@@ -21,7 +21,7 @@
 use crate::clock::{Clock, ManualClock, WallClock};
 use crate::coalescer::{Coalescer, Deadlined, DispatchReason, Poll};
 use ann_data::{PointSet, VectorElem};
-use parlayann::{AnnIndex, QueryEngine, QueryParams, SearchStats};
+use parlayann::{AnnIndex, QueryParams, SearchStats};
 use parlayann_obs::{Counter, Gauge, Histogram, Obs, Trace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -46,20 +46,19 @@ pub mod metric_names {
     pub const DEADLINE_SLACK_NS: &str = "parlayann_serve_deadline_slack_ns";
 }
 
-/// Serving knobs. `Default` reads the same `PARLAYANN_BLOCK` knob as the
-/// query engine, so offline and online batch shapes agree out of the box.
+/// Serving knobs.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Search parameters shared by every request. A request's own `k` is
     /// clamped to `params.k` (the block runs at the server's beam/k; the
     /// response is truncated per request).
     pub params: QueryParams,
-    /// Coalescer batch bound (the "block full" trigger).
+    /// Coalescer batch bound (the "block full" trigger); 16 by default.
     pub max_block: usize,
     /// Dispatch worker threads. Each worker runs whole batches through
-    /// the engine (which is itself batch-parallel), so a handful
-    /// suffices; more workers overlap batches when one stalls on a cold
-    /// cache.
+    /// the index's `search_batch` (which is itself parallel over the
+    /// batch's queries), so a handful suffices; more workers overlap
+    /// batches when one stalls on a cold cache.
     pub workers: usize,
     /// Admission bound: the most requests allowed in flight inside the
     /// server (queued **or** dispatched-but-unanswered) before
@@ -81,7 +80,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             params: QueryParams::default(),
-            max_block: parlayann::default_block().max(2),
+            max_block: 16,
             workers: 2,
             max_queue: 0,
             obs: None,
@@ -317,7 +316,7 @@ struct Batch<T> {
 /// Aggregate serving counters (monotonic; see [`ServerStatsSnapshot`]).
 /// Updated only when the configured `StatsMode` enables counters — with
 /// `StatsMode::Off` the serving path performs no stats bookkeeping, same
-/// as the engine's hot loop.
+/// as the search hot loop.
 #[derive(Default)]
 struct ServerStats {
     submitted: AtomicU64,
@@ -537,7 +536,6 @@ impl ServeMetrics {
 /// Everything the submit path, coalescer thread, and workers share.
 struct Shared<T: VectorElem> {
     index: Mutex<CurrentIndex<T>>,
-    engine: QueryEngine<T>,
     params: QueryParams,
     /// Index dimensionality; 0 until learned from the first submit (for
     /// index types whose `stats()` does not report it).
@@ -588,7 +586,7 @@ impl<T: VectorElem> Shared<T> {
 /// * [`Server::manual`] — deterministic test mode: no background threads;
 ///   the caller owns a [`ManualClock`] and advances batching explicitly
 ///   with [`Server::pump`], which executes due batches synchronously on
-///   the calling thread. Identical coalescer, identical engine —
+///   the calling thread. Identical coalescer, identical search path —
 ///   batching decisions become a pure function of (submits, clock
 ///   advances, pumps).
 pub struct Server<T: VectorElem> {
@@ -684,7 +682,6 @@ impl<T: VectorElem> Server<T> {
             .enabled()
             .then(|| ServeMetrics::register(obs_src.obs()));
         Arc::new(Shared {
-            engine: QueryEngine::with_block_size(config.max_block),
             index: Mutex::new(CurrentIndex {
                 index,
                 generation: 0,
@@ -1048,8 +1045,8 @@ fn run_worker<T: VectorElem>(shared: Arc<Shared<T>>, rx: Arc<Mutex<Receiver<Batc
 }
 
 /// Runs one batch: assemble the padded query block from the requests'
-/// heterogeneous (individually-owned) vectors, execute it on the shared
-/// engine, route row `i` back to request `i`, and account.
+/// heterogeneous (individually-owned) vectors, execute it on the pinned
+/// index, route row `i` back to request `i`, and account.
 fn execute_batch<T: VectorElem>(
     shared: &Shared<T>,
     assembly: &mut Option<PointSet<T>>,
@@ -1096,12 +1093,10 @@ fn execute_batch<T: VectorElem>(
     // isolation below the index (see parlayann_store), a panic that does
     // escape is batch-wide only by accident of batching. So on a batch
     // panic, retry each request individually (bit-identical to the batch
-    // path by the engine contract) and fail only the requests that are
+    // path by the `search_batch` contract) and fail only the requests that are
     // actually unrecoverable; the worker survives either way.
     let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        current
-            .index
-            .search_batch_in(queries, &shared.params, &shared.engine)
+        current.index.search_batch(queries, &shared.params)
     }));
     let service_ns = t_service.map_or(0, |t| t.elapsed().as_nanos() as u64);
     let spans = if om.is_some() {
@@ -1231,7 +1226,7 @@ fn execute_batch<T: VectorElem>(
 
 /// The blast-radius containment path: the batch call panicked, so rerun
 /// every request on its own. Requests that succeed are answered normally
-/// (bit-identical to the batch path by the engine's batching contract);
+/// (bit-identical to the batch path by the `search_batch` contract);
 /// only requests that fail again — truly unrecoverable against this
 /// snapshot — propagate the failure, each to exactly its own waiter.
 fn isolate_batch_failure<T: VectorElem>(

@@ -26,9 +26,7 @@
 
 use ann_data::{PointSet, VectorElem};
 use parlay::hash64_pair;
-use parlayann::{
-    AnnIndex, IndexKind, IndexStats, QueryEngine, QueryParams, RangeParams, SearchStats,
-};
+use parlayann::{AnnIndex, IndexKind, IndexStats, QueryParams, RangeParams, SearchStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -228,26 +226,6 @@ impl<T: VectorElem> AnnIndex<T> for FaultyIndex<T> {
     ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
         self.fault();
         self.inner.search_batch(queries, params)
-    }
-
-    fn search_batch_blocked(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        block_size: usize,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.fault();
-        self.inner.search_batch_blocked(queries, params, block_size)
-    }
-
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        self.fault();
-        self.inner.search_batch_in(queries, params, engine)
     }
 
     fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {

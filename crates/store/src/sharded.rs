@@ -40,8 +40,8 @@
 //! merged by the same k-way merge, which makes `p = N` **bitwise
 //! identical** to full fan-out (proptested, including the batch paths at
 //! 1 vs 8 threads). Batched searches route every query first, group the
-//! queries by target shard, and run one sub-batch per shard, so the
-//! query-blocked engine path survives routing. `nprobe = 0` (the
+//! queries by target shard, and run one sub-batch per shard, so each
+//! shard still parallelizes over its queries. `nprobe = 0` (the
 //! default), or a store without a codebook (hash-partitioned, or loaded
 //! from a pre-codebook manifest), fans out to every shard as before.
 //! [`range_search`](AnnIndex::range_search) always fans out fully:
@@ -92,9 +92,7 @@
 use crate::partition::{shard_members, Partitioner, ShardCodebook};
 use crate::replica::{BreakerConfig, BreakerState, ReplicaSet};
 use ann_data::{PointSet, VectorElem};
-use parlayann::{
-    AnnIndex, IndexKind, IndexStats, QueryEngine, QueryParams, RangeParams, SearchStats, ShardSet,
-};
+use parlayann::{AnnIndex, IndexKind, IndexStats, QueryParams, RangeParams, SearchStats, ShardSet};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -542,8 +540,8 @@ impl<T: VectorElem> ShardedIndex<T> {
 
     /// Routed batch fan-out: every query is ranked against the codebook
     /// first, the queries targeting each shard are grouped into one
-    /// sub-batch per shard (so the shard's query-blocked path still sees
-    /// a batch), and each query merges the rows it contributed to its
+    /// sub-batch per shard (so the shard's batch path still sees a
+    /// batch), and each query merges the rows it contributed to its
     /// target shards. A shard every query targets receives the original
     /// query set — which is how `nprobe = N` runs byte-for-byte the same
     /// shard calls as full fan-out. Shards no query targets are not
@@ -741,43 +739,23 @@ impl<T: VectorElem> AnnIndex<T> for ShardedIndex<T> {
     }
 
     /// Batched fan-out: without routing, each shard runs the whole query
-    /// set through its own (query-blocked, batch-parallel) path; with
-    /// routing, queries are routed first and grouped into per-shard
-    /// sub-batches ([`routed_batch`](Self::routed_batch)). Per-query
-    /// merges run in parallel either way.
-    fn search_batch_blocked(
+    /// set through its own batch-parallel `search_batch`; with routing,
+    /// queries are routed first and grouped into per-shard sub-batches
+    /// ([`routed_batch`](Self::routed_batch)). Per-query merges run in
+    /// parallel either way. This is also the serving path: the server's
+    /// workers call it, so the fan-out happens **inside** a dispatched
+    /// batch.
+    fn search_batch(
         &self,
         queries: &PointSet<T>,
         params: &QueryParams,
-        block_size: usize,
     ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
         if self.codebook.is_some() && self.routing.nprobe > 0 {
             return self.routed_batch(queries, self.routing.nprobe, params.k, |idx, qs| {
-                idx.search_batch_blocked(qs, params, block_size)
+                idx.search_batch(qs, params)
             });
         }
-        let (per_shard, failovers) =
-            self.fan_out_batch(|idx| idx.search_batch_blocked(queries, params, block_size));
-        self.merge_batches(per_shard, failovers, queries.len(), params.k)
-    }
-
-    /// Serving path: the fan-out happens **inside** the dispatched batch,
-    /// every shard sharing the caller's long-lived engine (one scratch
-    /// pool across shards and batches). Routes per query before grouping,
-    /// like [`search_batch_blocked`](Self::search_batch_blocked).
-    fn search_batch_in(
-        &self,
-        queries: &PointSet<T>,
-        params: &QueryParams,
-        engine: &QueryEngine<T>,
-    ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
-        if self.codebook.is_some() && self.routing.nprobe > 0 {
-            return self.routed_batch(queries, self.routing.nprobe, params.k, |idx, qs| {
-                idx.search_batch_in(qs, params, engine)
-            });
-        }
-        let (per_shard, failovers) =
-            self.fan_out_batch(|idx| idx.search_batch_in(queries, params, engine));
+        let (per_shard, failovers) = self.fan_out_batch(|idx| idx.search_batch(queries, params));
         self.merge_batches(per_shard, failovers, queries.len(), params.k)
     }
 
@@ -911,14 +889,14 @@ mod tests {
             k: 6,
             ..QueryParams::default()
         };
-        let batched = sharded.search_batch(&d.queries, &params);
-        let engine = QueryEngine::new();
-        let via_engine = sharded.search_batch_in(&d.queries, &params, &engine);
+        let batched = parlay::with_threads(1, || sharded.search_batch(&d.queries, &params));
+        let at_8 = parlay::with_threads(8, || sharded.search_batch(&d.queries, &params));
         for q in 0..d.queries.len() {
             let (single, single_stats) = sharded.search(d.queries.point(q), &params);
             assert_eq!(batched[q].0, single, "batch vs single, query {q}");
             assert_eq!(batched[q].1, single_stats);
-            assert_eq!(via_engine[q].0, single, "engine vs single, query {q}");
+            assert_eq!(at_8[q].0, single, "8 threads vs single, query {q}");
+            assert_eq!(at_8[q].1, single_stats);
         }
     }
 
@@ -931,20 +909,16 @@ mod tests {
             k: 6,
             ..QueryParams::default()
         };
-        let batched = sharded.search_batch(&d.queries, &params);
-        let engine = QueryEngine::new();
-        let via_engine = sharded.search_batch_in(&d.queries, &params, &engine);
+        let batched = parlay::with_threads(1, || sharded.search_batch(&d.queries, &params));
+        let at_8 = parlay::with_threads(8, || sharded.search_batch(&d.queries, &params));
         for q in 0..d.queries.len() {
             let (single, single_stats) = sharded.search(d.queries.point(q), &params);
             assert_eq!(single_stats.routed_shards, 2);
             assert_eq!(single_stats.probed_shards, 2);
             assert_eq!(batched[q].0, single, "routed batch vs single, query {q}");
             assert_eq!(batched[q].1, single_stats);
-            assert_eq!(
-                via_engine[q].0, single,
-                "routed engine vs single, query {q}"
-            );
-            assert_eq!(via_engine[q].1, single_stats);
+            assert_eq!(at_8[q].0, single, "routed 8 threads vs single, query {q}");
+            assert_eq!(at_8[q].1, single_stats);
         }
     }
 

@@ -8,14 +8,14 @@
 //!    search paths, and thread counts.
 //! 2. **Partial probes are deterministic** — `p < N` results are a pure
 //!    function of `(store, query, p)`, identical at 1 and 8 threads, on
-//!    the single-query, blocked-batch, and engine paths alike, and every
-//!    reported id really lives in one of the `p` selected shards.
+//!    the single-query and batch paths alike, and every reported id
+//!    really lives in one of the `p` selected shards.
 //! 3. **The persisted codebook routes like the fresh one** — a store
 //!    round-tripped through the manifest makes identical routing
 //!    decisions and returns identical bits.
 
 use ann_data::{bigann_like, PointSet};
-use parlayann::{AnnIndex, QueryEngine, QueryParams, VamanaIndex, VamanaParams};
+use parlayann::{AnnIndex, QueryParams, VamanaIndex, VamanaParams};
 use parlayann_store::{
     load_manifest, save_manifest, ExactIndex, Partitioner, Routing, ShardedIndex,
 };
@@ -91,16 +91,7 @@ proptest! {
                     routed.search_batch(&d.queries, &params),
                 )
             });
-            assert_rows_bitwise(&a, &b, "blocked batch");
-
-            let engine = QueryEngine::new();
-            let (a, b) = parlay::with_threads(threads, || {
-                (
-                    full.search_batch_in(&d.queries, &params, &engine),
-                    routed.search_batch_in(&d.queries, &params, &engine),
-                )
-            });
-            assert_rows_bitwise(&a, &b, "engine batch");
+            assert_rows_bitwise(&a, &b, "batch");
 
             let (a, b): (Vec<_>, Vec<_>) = parlay::with_threads(threads, || {
                 (
@@ -117,7 +108,7 @@ proptest! {
     }
 
     /// Clause 2: partial probes (`1 ≤ p < N`) are thread-invariant,
-    /// agree across the three search paths, stamp `routed = p` /
+    /// agree between `search` and `search_batch`, stamp `routed = p` /
     /// `probed = p` into the stats, and only ever return ids from the
     /// selected shards.
     #[test]
@@ -140,10 +131,6 @@ proptest! {
         let t1 = parlay::with_threads(1, || store.search_batch(&d.queries, &params));
         let t8 = parlay::with_threads(8, || store.search_batch(&d.queries, &params));
         assert_rows_bitwise(&t1, &t8, "1 vs 8 threads");
-
-        let engine = QueryEngine::new();
-        let via_engine = store.search_batch_in(&d.queries, &params, &engine);
-        assert_rows_bitwise(&t1, &via_engine, "blocked vs engine");
 
         for (q, t1_row) in t1.iter().enumerate() {
             let (res, stats) = store.search(d.queries.point(q), &params);

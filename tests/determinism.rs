@@ -182,11 +182,11 @@ fn beam_search_byte_identical_across_1_4_8_threads() {
 
 #[test]
 fn batched_search_20_runs_at_8_threads_bit_identical() {
-    // The query-blocked engine under real stealing schedules: the same
-    // batch, 20 times, on 8 workers, through the trait's blocked path.
-    // Every run sees different task placement and scratch reuse from the
-    // pool; every (id, dist) sequence must be the same bits, and must
-    // equal the strictly sequential per-query reference.
+    // `search_batch` under real stealing schedules: the same batch, 20
+    // times, on 8 workers. Every run sees different task placement and
+    // gets its scratches back from the index's pool in a different order;
+    // every (id, dist) sequence must be the same bits, and must equal
+    // the strictly sequential per-query reference (also at 1 thread).
     let d = bigann_like(700, 24, 19);
     let index = VamanaIndex::build(d.points.clone(), d.metric, &VamanaParams::default());
     let params = QueryParams {
@@ -206,9 +206,8 @@ fn batched_search_20_runs_at_8_threads_bit_identical() {
         .collect();
     let baseline = digest(&solo);
     for run in 0..20 {
-        let fp = parlay::with_threads(8, || {
-            digest(&index.search_batch_blocked(&d.queries, &params, 16))
-        });
+        let threads = if run == 0 { 1 } else { 8 };
+        let fp = parlay::with_threads(threads, || digest(&index.search_batch(&d.queries, &params)));
         assert_eq!(
             fp, baseline,
             "run {run} diverged from the sequential reference"

@@ -1,6 +1,6 @@
-//! The unified query engine's headline contract: `search_batch` is
+//! The query layer's headline contract: `search_batch` is
 //! **bit-identical** to one-at-a-time `search` for every index family, at
-//! every block size and every thread count. Blocking and scratch reuse
+//! every batch shape and every thread count. Batching and scratch reuse
 //! may only change execution layout, never results.
 
 use parlayann_suite::baselines::{IvfIndex, IvfParams, PqVamanaIndex, PqVamanaParams};
@@ -107,8 +107,7 @@ proptest! {
 
     #[test]
     fn search_batch_bit_identical_to_single_search_all_families(
-        block in 1usize..=64,
-        threads in 1usize..=8,
+        threads in 2usize..=7,
         beam in 8usize..=48,
         k in 1usize..=10,
         nq in 1usize..=20,
@@ -129,23 +128,23 @@ proptest! {
                     .map(|q| index.search(queries.point(q), &params))
                     .collect(),
             );
-            // Batched, at the sampled block size and thread count.
-            let batched: Observed = parlay::with_threads(threads, || {
-                observe(index.search_batch_blocked(&queries, &params, block))
-            });
-            prop_assert_eq!(
-                &batched, &solo,
-                "{} diverged at block={} threads={} beam={} k={}",
-                name, block, threads, beam, k
-            );
+            // Batched: sequential pool, the sampled thread count, and 8.
+            for t in [1, threads, 8] {
+                let batched: Observed =
+                    parlay::with_threads(t, || observe(index.search_batch(&queries, &params)));
+                prop_assert_eq!(
+                    &batched, &solo,
+                    "{} diverged at threads={} beam={} k={}",
+                    name, t, beam, k
+                );
+            }
         }
     }
 }
 
 #[test]
 fn stats_off_results_match_counters_on() {
-    // StatsMode::Off must zero the counters without perturbing results, on
-    // both the solo and the blocked path.
+    // StatsMode::Off must zero the counters without perturbing results.
     let f = fixtures();
     let on = QueryParams {
         beam: 32,
@@ -160,8 +159,8 @@ fn stats_off_results_match_counters_on() {
         // are not the hot path this knob exists for); only require result
         // equality there.
         let gated = matches!(*name, "vamana" | "hnsw" | "hcnng" | "pynndescent");
-        let a = index.search_batch_blocked(&f.data.queries, &on, 8);
-        let b = index.search_batch_blocked(&f.data.queries, &off, 8);
+        let a = index.search_batch(&f.data.queries, &on);
+        let b = index.search_batch(&f.data.queries, &off);
         for ((ra, sa), (rb, sb)) in a.iter().zip(&b) {
             assert_eq!(ra, rb, "{name}: results changed with stats off");
             assert!(sa.dist_comps > 0, "{name}: counters missing with stats on");
@@ -169,6 +168,36 @@ fn stats_off_results_match_counters_on() {
                 assert_eq!(sb.dist_comps, 0, "{name}: counters not gated");
                 assert_eq!(sb.hops, 0, "{name}: hops not gated");
             }
+        }
+    }
+}
+
+#[test]
+fn zero_k_or_zero_beam_is_an_empty_result_with_zero_stats() {
+    // `k == 0` used to index `frontier[k - 1]` and panic the search thread.
+    let f = fixtures();
+    for (name, index) in &f.indexes {
+        if *name == "ivf" {
+            continue; // a scan, not a beam walk: `beam` means nothing to it
+        }
+        for (k, beam) in [(0usize, 32usize), (10, 0), (0, 0)] {
+            let params = QueryParams {
+                k,
+                beam,
+                ..QueryParams::default()
+            };
+            let empty = (Vec::new(), parlayann_suite::core::SearchStats::default());
+            assert_eq!(
+                index.search(f.data.queries.point(0), &params),
+                empty,
+                "{name} search k={k} beam={beam}"
+            );
+            let batch = index.search_batch(&f.data.queries, &params);
+            assert_eq!(batch.len(), f.data.queries.len(), "{name}");
+            assert!(
+                batch.iter().all(|row| *row == empty),
+                "{name} search_batch k={k} beam={beam}"
+            );
         }
     }
 }
