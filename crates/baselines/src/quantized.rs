@@ -178,9 +178,7 @@ fn rerank_exact<T: VectorElem>(
         let ids: Vec<u32> = top.iter().map(|&(id, _)| id).collect();
         let mut exact = Vec::new();
         distance_batch(query, &ids, points, metric, &mut exact);
-        if params.stats.enabled() {
-            stats.dist_comps += ids.len();
-        }
+        stats.dist_comps += ids.len();
         for (cand, d) in top.iter_mut().zip(exact) {
             cand.1 = d;
         }

@@ -136,7 +136,6 @@ pub fn visited_and_cut(scale: usize) {
                 k: GT_K,
                 beam,
                 cut,
-                limit: usize::MAX,
                 visited,
                 ..QueryParams::default()
             };

@@ -64,7 +64,6 @@ pub fn sweep<T: VectorElem, I: AnnIndex<T> + ?Sized>(
                 k,
                 beam: beam.max(k),
                 cut,
-                limit: usize::MAX,
                 visited: VisitedMode::Approx,
                 ..QueryParams::default()
             };

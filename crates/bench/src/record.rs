@@ -1,10 +1,9 @@
-//! One-line JSON bench records, shared by every `BENCH_*.json` writer.
+//! One-line JSON bench records, as `kernel_bench` writes them to
+//! `BENCH_kernels.json`.
 //!
-//! The workspace has no serde (offline container), so the bench bins
-//! serialize records by hand. This module is the single place that does
-//! it — `pool_scaling`, `shard_scaling` and `serve_qps` all build their
-//! records here, so the escaping, number formatting, and append-not-
-//! clobber file behavior stay consistent as the set of benches grows.
+//! The workspace has no serde (offline container), so records are
+//! serialized by hand here: escaping, number formatting and the
+//! append-not-clobber file behavior live in one place.
 //!
 //! Records are JSON Lines: one object per line, appended so the perf
 //! trajectory accumulates across PRs.
@@ -86,39 +85,6 @@ impl JsonRecord {
         self
     }
 
-    /// An array of unsigned integers.
-    pub fn uint_list(mut self, key: &str, vals: impl IntoIterator<Item = u64>) -> Self {
-        self.key(key);
-        self.buf.push('[');
-        for (i, v) in vals.into_iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{v}");
-        }
-        self.buf.push(']');
-        self
-    }
-
-    /// An array of floats with fixed decimal places.
-    pub fn float_list(
-        mut self,
-        key: &str,
-        vals: impl IntoIterator<Item = f64>,
-        decimals: usize,
-    ) -> Self {
-        self.key(key);
-        self.buf.push('[');
-        for (i, v) in vals.into_iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{v:.decimals$}");
-        }
-        self.buf.push(']');
-        self
-    }
-
     /// Closes the record into one newline-terminated JSON line.
     pub fn finish(mut self) -> String {
         self.buf.push_str("}\n");
@@ -148,15 +114,13 @@ mod tests {
             .uint("n", 42)
             .float("qps", 1234.567, 1)
             .bool("ok", true)
-            .uint_list("sizes", [1, 2, 3])
-            .float_list("lat", [0.5, 1.25], 2)
             .finish();
         // The provenance stamps depend on the host/environment, so the
         // expected prefix is built from the same sources.
         let expected = format!(
             "{{\"bench\":\"demo\",\"simd_level\":\"{}\",\"threads\":{},\
              \"name\":\"a \\\"b\\\"\\\\c\\n\",\"n\":42,\
-             \"qps\":1234.6,\"ok\":true,\"sizes\":[1,2,3],\"lat\":[0.50,1.25]}}\n",
+             \"qps\":1234.6,\"ok\":true}}\n",
             ann_data::simd_level().name(),
             parlay::num_threads()
         );

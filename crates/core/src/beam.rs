@@ -25,7 +25,7 @@
 //! query, so search results are deterministic.
 
 use crate::graph::FlatGraph;
-use crate::stats::{SearchStats, StatsMode};
+use crate::stats::SearchStats;
 use crate::visited::VisitedFilter;
 use ann_data::simd::prefetch_read;
 use ann_data::{distance_batch, Metric, PointSet, VectorElem};
@@ -56,9 +56,6 @@ pub struct QueryParams {
     pub limit: usize,
     /// Visited-set implementation.
     pub visited: VisitedMode,
-    /// Whether to collect per-query counters (see [`StatsMode`]); results
-    /// are unaffected, only the returned [`SearchStats`] is.
-    pub stats: StatsMode,
 }
 
 impl QueryParams {
@@ -78,7 +75,6 @@ impl Default for QueryParams {
             cut: 1.25,
             limit: usize::MAX,
             visited: VisitedMode::Approx,
-            stats: StatsMode::Counters,
         }
     }
 }
@@ -359,7 +355,6 @@ pub fn walk<S: Scorer, G: GraphView>(
         scorer.num_points() <= EXPANDED as usize,
         "beam search marks expanded entries in bit 31 of the id: at most 2^31 points"
     );
-    let track = params.stats.enabled();
     let beam = params.beam;
     filter.reset(params.visited == VisitedMode::Approx, beam);
 
@@ -372,9 +367,7 @@ pub fn walk<S: Scorer, G: GraphView>(
             .filter(|&s| !filter.test_and_insert(s)),
     );
     scorer.score(cand_ids, cand_dists);
-    if track {
-        stats.dist_comps += cand_ids.len();
-    }
+    stats.dist_comps += cand_ids.len();
     // Everything before `cursor` is expanded.
     let mut cursor = 0;
     for (&s, &d) in cand_ids.iter().zip(cand_dists.iter()) {
@@ -391,9 +384,7 @@ pub fn walk<S: Scorer, G: GraphView>(
         let current = frontier[cursor];
         frontier[cursor].0 |= EXPANDED;
         expanded.push(current);
-        if track {
-            stats.hops += 1;
-        }
+        stats.hops += 1;
         // Every candidate of this hop is tested against the bounds as
         // they stand now, before any of them is admitted.
         let (worst, cut_bound) = admission_bounds(frontier, params);
@@ -412,9 +403,7 @@ pub fn walk<S: Scorer, G: GraphView>(
             }
         }
         scorer.score(cand_ids, cand_dists);
-        if track {
-            stats.dist_comps += cand_ids.len();
-        }
+        stats.dist_comps += cand_ids.len();
 
         // The next vertex to expand is the closest of the entry after the
         // cursor and this hop's admitted candidates. It is known before
@@ -523,7 +512,6 @@ mod reference {
         params: &QueryParams,
     ) -> SearchStats {
         let mut stats = SearchStats::default();
-        let track = params.stats.enabled();
         filter.reset(params.visited == VisitedMode::Approx, params.beam);
         let padded_query = points.pad_query(query);
 
@@ -541,9 +529,7 @@ mod reference {
             metric,
             &mut scratch.cand_dists,
         );
-        if track {
-            stats.dist_comps += scratch.cand_ids.len();
-        }
+        stats.dist_comps += scratch.cand_ids.len();
         scratch.frontier.clear();
         scratch.frontier.extend(
             scratch
@@ -569,9 +555,7 @@ mod reference {
                 .binary_search_by(|x| cmp_dist(x, &current))
                 .unwrap_or_else(|e| e);
             scratch.visited.insert(pos, current);
-            if track {
-                stats.hops += 1;
-            }
+            stats.hops += 1;
 
             let (worst, cut_bound) = admission_bounds(&scratch.frontier, params);
 
@@ -588,9 +572,7 @@ mod reference {
                 metric,
                 &mut scratch.cand_dists,
             );
-            if track {
-                stats.dist_comps += scratch.cand_ids.len();
-            }
+            stats.dist_comps += scratch.cand_ids.len();
             scratch.candidates.clear();
             for (&w, &d) in scratch.cand_ids.iter().zip(scratch.cand_dists.iter()) {
                 if d >= worst || d > cut_bound {
@@ -1031,7 +1013,6 @@ mod tests {
                 cut: if loose_cut { 1.25 } else { 1.0 },
                 limit: if limited { 1 + (seed as usize % 12) } else { usize::MAX },
                 visited: if exact { VisitedMode::Exact } else { VisitedMode::Approx },
-                stats: StatsMode::Counters,
             };
             let slot_cap = if tiny_filter { 64 } else { 1 << 16 };
             check_against_reference(

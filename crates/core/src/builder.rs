@@ -193,7 +193,6 @@ fn batch_insert<T: VectorElem, P: PruneStrategy<T>>(
         cut: params.cut,
         limit: usize::MAX,
         visited: VisitedMode::Approx,
-        stats: crate::stats::StatsMode::Counters,
     };
 
     // Step 1 — each batch point independently searches the immutable

@@ -190,7 +190,6 @@ impl<T: VectorElem> HnswIndex<T> {
         query: &[T],
         layer: usize,
         from: u32,
-        mode: crate::stats::StatsMode,
         dc: &mut usize,
     ) -> u32 {
         let qp = QueryParams {
@@ -199,7 +198,6 @@ impl<T: VectorElem> HnswIndex<T> {
             cut: 1.0,
             limit: usize::MAX,
             visited: VisitedMode::Approx,
-            stats: mode,
         };
         let stats = beam_search_into(
             scratch,
@@ -230,14 +228,7 @@ impl<T: VectorElem> HnswIndex<T> {
                 let mut cur = self.entry;
                 // Descend through layers above p's level with beam 1.
                 for l in ((lp + 1)..=top).rev() {
-                    cur = self.greedy1(
-                        scratch,
-                        q,
-                        l,
-                        cur,
-                        crate::stats::StatsMode::Counters,
-                        &mut dc,
-                    );
+                    cur = self.greedy1(scratch, q, l, cur, &mut dc);
                 }
                 // Insert into layers lp..0 with the construction beam.
                 let mut outs: Vec<(usize, Vec<u32>)> = Vec::with_capacity(lp + 1);
@@ -248,7 +239,6 @@ impl<T: VectorElem> HnswIndex<T> {
                         cut: 1.25,
                         limit: usize::MAX,
                         visited: VisitedMode::Approx,
-                        stats: crate::stats::StatsMode::Counters,
                     };
                     let stats = beam_search_into(
                         scratch,
@@ -372,7 +362,7 @@ impl<T: VectorElem> HnswIndex<T> {
             return (Vec::new(), SearchStats::default());
         }
         self.scratch.with(|scratch| {
-            let (cur, dc) = self.descend(scratch, query, params.stats);
+            let (cur, dc) = self.descend(scratch, query);
             let mut stats = beam_search_into(
                 scratch,
                 query,
@@ -413,17 +403,12 @@ impl<T: VectorElem> HnswIndex<T> {
 impl<T: VectorElem> HnswIndex<T> {
     /// Width-1 descent from the top layer down to (but excluding) layer 0,
     /// returning the bottom-layer entry vertex and descent distance comps.
-    fn descend(
-        &self,
-        scratch: &mut SearchScratch<T>,
-        query: &[T],
-        mode: crate::stats::StatsMode,
-    ) -> (u32, usize) {
+    fn descend(&self, scratch: &mut SearchScratch<T>, query: &[T]) -> (u32, usize) {
         let top = self.levels[self.entry as usize] as usize;
         let mut dc = 0usize;
         let mut cur = self.entry;
         for l in (1..=top).rev() {
-            cur = self.greedy1(scratch, query, l, cur, mode, &mut dc);
+            cur = self.greedy1(scratch, query, l, cur, &mut dc);
         }
         (cur, dc)
     }
@@ -466,7 +451,7 @@ impl<T: VectorElem> AnnIndex<T> for HnswIndex<T> {
     /// [`crate::range`]).
     fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {
         self.scratch.with(|scratch| {
-            let (cur, dc) = self.descend(scratch, query, crate::stats::StatsMode::Counters);
+            let (cur, dc) = self.descend(scratch, query);
             let (res, mut stats) = crate::range::range_search(
                 scratch,
                 query,

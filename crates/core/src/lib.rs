@@ -62,4 +62,4 @@ pub use prune::{heuristic_prune, robust_prune};
 pub use pynndescent::{PyNNDescentIndex, PyNNDescentParams};
 pub use query::{aggregate_stats, AnnIndex, IndexKind, IndexStats, ScratchPool};
 pub use range::{range_search, RangeParams};
-pub use stats::{BuildStats, SearchStats, ShardSet, StatsMode, SHARD_SET_BITS};
+pub use stats::{BuildStats, SearchStats, ShardSet, SHARD_SET_BITS};

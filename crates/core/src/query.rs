@@ -201,7 +201,7 @@ pub trait AnnIndex<T: VectorElem>: Sync {
         params: &QueryParams,
     ) -> Vec<(Vec<(u32, f32)>, SearchStats)> {
         let results = parlay::tabulate(queries.len(), |q| self.search(queries.point(q), params));
-        engine_obs_record(&results, params.stats.enabled());
+        engine_obs_record(&results);
         results
     }
 
@@ -300,13 +300,12 @@ impl<T: VectorElem> ScratchPool<SearchScratch<T>> {
 /// Folds per-query engine work (distance computations, beam hops) into
 /// the global observability histograms. Runs once per batch *after* the
 /// results exist, off the search hot loop; skipped entirely when the
-/// obs layer is off or the caller disabled stats tracking (the counters
-/// would all be zero). Telemetry only reads the stats — results are
+/// obs layer is off. Telemetry only reads the stats — results are
 /// bit-identical with obs on or off.
-fn engine_obs_record(results: &[(Vec<(u32, f32)>, SearchStats)], tracked: bool) {
+fn engine_obs_record(results: &[(Vec<(u32, f32)>, SearchStats)]) {
     use std::sync::OnceLock;
     let obs = parlayann_obs::global();
-    if !tracked || !obs.enabled() || results.is_empty() {
+    if !obs.enabled() || results.is_empty() {
         return;
     }
     type Handles = (

@@ -72,7 +72,6 @@ pub fn range_search<T: VectorElem, G: GraphView>(
             cut: 1.0,
             limit: usize::MAX,
             visited: crate::beam::VisitedMode::Exact,
-            stats: crate::stats::StatsMode::Counters,
         };
         stats = beam_search_into(scratch, query, points, metric, view, starts, &qp);
         let nav = scratch.frontier();

@@ -3,32 +3,8 @@
 //! The paper reports distance comparisons per query alongside QPS
 //! (Fig. 3d–f, Fig. 6c): for high-dimensional points, distance evaluations
 //! dominate cost, so they are a machine-independent efficiency measure.
-
-/// Whether a search collects per-query counters.
-///
-/// The expansion loop is hot enough that even two increments per candidate
-/// are measurable at small dimensionality, so serving-style callers can
-/// switch them off via [`QueryParams::stats`](crate::beam::QueryParams):
-/// with `Off`, every counter update is behind a predictable branch on a
-/// register-resident flag and the returned [`SearchStats`] is all zeros.
-/// Results are identical in both modes — only the counters differ.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StatsMode {
-    /// Collect distance-comparison and hop counters (the default; the
-    /// paper reports dist comps per query alongside QPS).
-    #[default]
-    Counters,
-    /// Skip all counter updates in the hot loop.
-    Off,
-}
-
-impl StatsMode {
-    /// Whether counters are collected.
-    #[inline]
-    pub fn enabled(self) -> bool {
-        self == StatsMode::Counters
-    }
-}
+//! Every search counts them: they are part of the answer, and two integer
+//! adds per hop cost nothing measurable.
 
 /// Number of shard slots [`ShardSet`]'s bitmask covers exactly.
 pub const SHARD_SET_BITS: usize = 256;
@@ -158,11 +134,9 @@ impl FromIterator<usize> for ShardSet {
 
 /// Per-query statistics from a beam search (or baseline scan).
 ///
-/// The shard-health fields (`routed_shards`, `probed_shards`,
-/// `failed_shards`, `failovers`) are **not** gated on [`StatsMode`]: a
-/// degraded answer is a correctness-relevant property of the result, not
-/// a perf counter, so a sharded search reports them even under
-/// `StatsMode::Off`. They stay zero for non-sharded indexes.
+/// Every search fills these in. The shard-health fields
+/// (`routed_shards`, `probed_shards`, `failed_shards`, `failovers`) stay
+/// zero for non-sharded indexes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Number of distance evaluations performed.

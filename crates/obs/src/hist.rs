@@ -202,8 +202,8 @@ impl HistogramSnapshot {
     }
 
     /// Counts recorded since `earlier` (bucket-wise saturating
-    /// difference) — used for per-interval quantiles, e.g. one
-    /// `serve_qps` load point out of a shared registry.
+    /// difference) — used for per-interval quantiles, e.g. one load
+    /// phase of a benchmark out of a shared registry.
     pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self

@@ -14,12 +14,13 @@
 //! quantile queries run over snapshots, and the trace ring drops records
 //! rather than ever blocking a writer. Search results (and therefore the
 //! serve/chaos/route fingerprints) are bit-identical with observability
-//! on or off, at any thread count — CI's `obs-smoke` job diffs them.
+//! on or off, at any thread count — `tests/serve.rs`
+//! (`obs_on_and_off_servers_answer_identically`) pins that.
 //!
 //! ## The `ObsMode` knob
 //!
-//! Like `StatsMode` in the query engine, [`ObsMode::Off`] reduces every
-//! instrumentation site to one register-resident branch: layers check
+//! [`ObsMode::Off`] reduces every instrumentation site to one
+//! register-resident branch: layers check
 //! [`Obs::enabled`] (or cache the answer at construction) and skip both
 //! the clock reads and the atomic traffic. The process-wide default is
 //! read once from `PARLAYANN_OBS` (`off`/`0`/`false` disable; anything
@@ -43,9 +44,9 @@ pub use trace::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Master switch for the observability layer, mirroring the query
-/// engine's `StatsMode` discipline: `Off` costs one predictable branch
-/// per instrumentation site.
+/// Master switch for the observability layer: `Off` costs one
+/// predictable branch per instrumentation site. (The engine's per-query
+/// counters are not behind it; every search counts them.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ObsMode {
     /// Record metrics and traces.

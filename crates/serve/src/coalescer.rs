@@ -55,8 +55,9 @@ pub enum Poll<R> {
     /// Dispatch this batch now (never empty, never longer than
     /// `max_block`). More batches may be ready — poll again.
     Dispatch(DispatchReason, Vec<R>),
-    /// Nothing to do until the given time (the oldest pending deadline),
-    /// unless a new request arrives first.
+    /// Nothing to do until the given time (the most urgent, i.e. earliest,
+    /// pending deadline — not necessarily the oldest request's), unless a
+    /// new request arrives first.
     WaitUntil(u64),
     /// The queue is empty.
     Idle,

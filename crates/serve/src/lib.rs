@@ -4,7 +4,8 @@
 //! online serving system, LANNS-style: many client threads submit
 //! *single* queries; a coalescer groups them into batches under a dual
 //! trigger — **block full** (batch bound reached) or **deadline** (the
-//! oldest waiting request's latency budget elapsed) — and a worker pool
+//! most urgent waiting request's deadline passed: the earliest deadline in
+//! the queue, not necessarily the oldest request's) — and a worker pool
 //! executes each batch as one `search_batch` call: one task per query on
 //! the work-stealing pool, each over a scratch from the index's pool.
 //!
@@ -27,7 +28,7 @@
 //! * [`Server`] — the front-end: `submit(query, k, budget)` →
 //!   [`ResponseHandle`], background coalescer + workers (or the
 //!   deterministic [`Server::pump`] mode), graceful draining shutdown,
-//!   aggregate stats gated on the query parameters' `StatsMode`.
+//!   always-on aggregate stats ([`ServerStatsSnapshot`]).
 
 pub mod clock;
 pub mod coalescer;
@@ -36,15 +37,14 @@ pub mod server;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use coalescer::{Coalescer, Deadlined, DispatchReason, Poll};
 pub use server::{
-    metric_names, Rejected, ReloadError, Response, ResponseHandle, Server, ServerConfig,
-    ServerStatsSnapshot, SubmitError,
+    Rejected, ReloadError, Response, ResponseHandle, Server, ServerConfig, ServerStatsSnapshot,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ann_data::PointSet;
-    use parlayann::{QueryParams, StatsMode, VamanaIndex, VamanaParams};
+    use parlayann::{QueryParams, VamanaIndex, VamanaParams};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -266,7 +266,7 @@ mod tests {
         assert_eq!(server.pending(), 0);
         assert_eq!(
             server.submit(&[0.0, 0.0], 1, Duration::ZERO).unwrap_err(),
-            SubmitError::ShuttingDown
+            Rejected::ShuttingDown
         );
         let stats = server.stats();
         assert_eq!(stats.submitted, 5);
@@ -301,27 +301,11 @@ mod tests {
             server
                 .submit(&[1.0, 2.0, 3.0], 1, Duration::ZERO)
                 .unwrap_err(),
-            SubmitError::DimMismatch {
+            Rejected::DimMismatch {
                 expected: 2,
                 got: 3
             }
         );
-    }
-
-    #[test]
-    fn stats_mode_off_disables_aggregate_counters() {
-        let index = tiny_index();
-        let clock = Arc::new(ManualClock::new());
-        let mut cfg = config(4);
-        cfg.params.stats = StatsMode::Off;
-        let server = Server::manual(index, cfg, clock);
-        let h = server.submit(&[1.0, 1.0], 2, Duration::ZERO).unwrap();
-        server.pump();
-        let resp = h.try_take().unwrap();
-        assert_eq!(resp.stats, parlayann::SearchStats::default());
-        assert_eq!(server.stats(), ServerStatsSnapshot::default());
-        // Results are unaffected by the stats mode.
-        assert_eq!(resp.neighbors.len(), 2);
     }
 
     #[test]

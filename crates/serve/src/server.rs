@@ -29,9 +29,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Serve-layer metric names (exposed so harnesses like `serve_qps` can
-/// look the series up in the global registry for interval snapshots).
-pub mod metric_names {
+/// Serve-layer histogram names.
+mod metric_names {
     /// Histogram: submit → reply server-side latency per request, ns.
     pub const REQUEST_NS: &str = "parlayann_serve_request_ns";
     /// Histogram: submit → dispatch coalescer wait per request, ns.
@@ -130,9 +129,6 @@ impl std::fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-/// The pre-admission-control name of [`Rejected`].
-pub type SubmitError = Rejected;
-
 /// Why [`Server::reload`] refused a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReloadError {
@@ -164,17 +160,10 @@ pub struct Response {
     /// Up to `k` `(id, distance)` pairs, closest first — bit-identical to
     /// a direct `search_batch` of the same query.
     pub neighbors: Vec<(u32, f32)>,
-    /// Per-request search counters (zeroed under `StatsMode::Off`; the
-    /// shard-health fields survive `Off` — see [`SearchStats`]).
+    /// Per-request search counters, including the shard-health fields
+    /// (`routed_shards`, `probed_shards`, `failed_shards`; all zero for an
+    /// unsharded index) — see [`SearchStats`].
     pub stats: SearchStats,
-    /// Shards the router selected for this request (0 = unsharded
-    /// index). With partial fan-out (`Routing { nprobe: p }`) this is
-    /// `p`; otherwise the store's shard count.
-    pub routed_shards: u32,
-    /// Shards that contributed to this answer (0 = unsharded index).
-    /// Under routing, `routed_shards = probed_shards` plus the selected
-    /// shards that were down.
-    pub probed_shards: u32,
     /// Whether this answer is **degraded**: some shard had every replica
     /// down, so the result covers only the surviving shards (and is
     /// bit-identical to a direct search over exactly those shards —
@@ -313,10 +302,11 @@ struct Batch<T> {
     dispatch_ns: u64,
 }
 
-/// Aggregate serving counters (monotonic; see [`ServerStatsSnapshot`]).
-/// Updated only when the configured `StatsMode` enables counters — with
-/// `StatsMode::Off` the serving path performs no stats bookkeeping, same
-/// as the search hot loop.
+/// Aggregate serving counters of one server (monotonic; see
+/// [`ServerStatsSnapshot`]). Always on: a handful of relaxed atomic adds
+/// per batch. Kept beside [`ServeMetrics`] because the registry dedups
+/// series per sink, so on the shared global sink those counters are
+/// process-wide, while these count this server alone.
 #[derive(Default)]
 struct ServerStats {
     submitted: AtomicU64,
@@ -331,6 +321,17 @@ struct ServerStats {
     degraded: AtomicU64,
     failovers: AtomicU64,
     isolated_failures: AtomicU64,
+}
+
+impl ServerStats {
+    /// The batch counter for dispatch trigger `reason`.
+    fn by_reason(&self, reason: DispatchReason) -> &AtomicU64 {
+        match reason {
+            DispatchReason::Full => &self.full_batches,
+            DispatchReason::Deadline => &self.deadline_batches,
+            DispatchReason::Drain => &self.drain_batches,
+        }
+    }
 }
 
 /// Point-in-time copy of the server's aggregate counters.
@@ -546,7 +547,6 @@ struct Shared<T: VectorElem> {
     /// other clocks advance out of band, so naps are capped at
     /// [`Server::MAX_NAP`] to observe them promptly.
     wall: bool,
-    track: bool,
     stats: ServerStats,
     state: Mutex<SubmitState<T>>,
     cv: Condvar,
@@ -690,7 +690,6 @@ impl<T: VectorElem> Server<T> {
             dim: AtomicUsize::new(dim),
             clock,
             wall,
-            track: config.params.stats.enabled(),
             stats: ServerStats::default(),
             state: Mutex::new(SubmitState {
                 coal: Coalescer::with_capacity(config.max_block, config.max_queue),
@@ -758,9 +757,7 @@ impl<T: VectorElem> Server<T> {
             };
             if over {
                 self.shared.inflight.fetch_sub(1, Ordering::Relaxed);
-                if self.shared.track {
-                    self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                }
+                self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = &self.shared.om {
                     m.shed.inc();
                 }
@@ -786,9 +783,7 @@ impl<T: VectorElem> Server<T> {
             st.coal.push(pending);
             st.coal.len()
         };
-        if self.shared.track {
-            self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.shared.om {
             m.requests.inc();
             m.queue_depth.record(depth as u64);
@@ -891,8 +886,7 @@ impl<T: VectorElem> Server<T> {
             .generation
     }
 
-    /// Snapshot of the aggregate serving counters (all zero under
-    /// `StatsMode::Off`).
+    /// Snapshot of this server's aggregate serving counters.
     pub fn stats(&self) -> ServerStatsSnapshot {
         let s = &self.shared.stats;
         ServerStatsSnapshot {
@@ -1177,8 +1171,6 @@ fn execute_batch<T: VectorElem>(
         }
         req.slot.fill(Response {
             neighbors,
-            routed_shards: stats.routed_shards,
-            probed_shards: stats.probed_shards,
             degraded: stats.degraded(),
             stats,
             batch_size,
@@ -1188,24 +1180,17 @@ fn execute_batch<T: VectorElem>(
         });
     }
     shared.inflight.fetch_sub(batch_size, Ordering::Relaxed);
-    if shared.track {
-        let s = &shared.stats;
-        s.completed.fetch_add(batch_size as u64, Ordering::Relaxed);
-        s.batches.fetch_add(1, Ordering::Relaxed);
-        match reason {
-            DispatchReason::Full => &s.full_batches,
-            DispatchReason::Deadline => &s.deadline_batches,
-            DispatchReason::Drain => &s.drain_batches,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        s.queue_ns_total.fetch_add(queue_ns_sum, Ordering::Relaxed);
-        s.max_batch.fetch_max(batch_size as u64, Ordering::Relaxed);
-        s.degraded.fetch_add(degraded_count, Ordering::Relaxed);
-        // Failover work is paid once per batch (every row reports the
-        // batch's count), so account it once, not per row.
-        s.failovers
-            .fetch_add(batch_failovers as u64, Ordering::Relaxed);
-    }
+    let s = &shared.stats;
+    s.completed.fetch_add(batch_size as u64, Ordering::Relaxed);
+    s.batches.fetch_add(1, Ordering::Relaxed);
+    s.by_reason(reason).fetch_add(1, Ordering::Relaxed);
+    s.queue_ns_total.fetch_add(queue_ns_sum, Ordering::Relaxed);
+    s.max_batch.fetch_max(batch_size as u64, Ordering::Relaxed);
+    s.degraded.fetch_add(degraded_count, Ordering::Relaxed);
+    // Failover work is paid once per batch (every row reports the batch's
+    // count), so account it once, not per row.
+    s.failovers
+        .fetch_add(batch_failovers as u64, Ordering::Relaxed);
     if let Some(m) = om {
         m.completed.add(batch_size as u64);
         m.batch_trigger(reason).inc();
@@ -1256,8 +1241,6 @@ fn isolate_batch_failure<T: VectorElem>(
                 failovers += stats.failovers as u64;
                 req.slot.fill(Response {
                     neighbors,
-                    routed_shards: stats.routed_shards,
-                    probed_shards: stats.probed_shards,
                     degraded: stats.degraded(),
                     stats,
                     batch_size,
@@ -1273,22 +1256,15 @@ fn isolate_batch_failure<T: VectorElem>(
         }
     }
     shared.inflight.fetch_sub(batch_size, Ordering::Relaxed);
-    if shared.track {
-        let s = &shared.stats;
-        s.completed.fetch_add(completed, Ordering::Relaxed);
-        s.batches.fetch_add(1, Ordering::Relaxed);
-        match reason {
-            DispatchReason::Full => &s.full_batches,
-            DispatchReason::Deadline => &s.deadline_batches,
-            DispatchReason::Drain => &s.drain_batches,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        s.queue_ns_total.fetch_add(queue_ns_sum, Ordering::Relaxed);
-        s.max_batch.fetch_max(batch_size as u64, Ordering::Relaxed);
-        s.degraded.fetch_add(degraded_count, Ordering::Relaxed);
-        s.failovers.fetch_add(failovers, Ordering::Relaxed);
-        s.isolated_failures.fetch_add(failed, Ordering::Relaxed);
-    }
+    let s = &shared.stats;
+    s.completed.fetch_add(completed, Ordering::Relaxed);
+    s.batches.fetch_add(1, Ordering::Relaxed);
+    s.by_reason(reason).fetch_add(1, Ordering::Relaxed);
+    s.queue_ns_total.fetch_add(queue_ns_sum, Ordering::Relaxed);
+    s.max_batch.fetch_max(batch_size as u64, Ordering::Relaxed);
+    s.degraded.fetch_add(degraded_count, Ordering::Relaxed);
+    s.failovers.fetch_add(failovers, Ordering::Relaxed);
+    s.isolated_failures.fetch_add(failed, Ordering::Relaxed);
     if let Some(m) = &shared.om {
         m.completed.add(completed);
         m.isolated.add(failed);

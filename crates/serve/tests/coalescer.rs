@@ -5,7 +5,7 @@
 //! 1. a formed batch never exceeds the block bound;
 //! 2. no request sits in the queue past its deadline when the coalescer
 //!    is polled (the deadline trigger fires), and a reported `WaitUntil`
-//!    is exactly the oldest pending deadline;
+//!    is exactly the most urgent (earliest) pending deadline;
 //! 3. shutdown's drain hands every pending request out exactly once, in
 //!    FIFO order, still respecting the block bound.
 

@@ -67,14 +67,9 @@ impl<T: VectorElem> AnnIndex<T> for ExactIndex<T> {
         // sharded merge uses, so exact shards compose bitwise.
         all.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         all.truncate(params.k);
-        let stats = if params.stats.enabled() {
-            SearchStats {
-                dist_comps: self.points.len(),
-                hops: 0,
-                ..Default::default()
-            }
-        } else {
-            SearchStats::default()
+        let stats = SearchStats {
+            dist_comps: self.points.len(),
+            ..Default::default()
         };
         (all, stats)
     }

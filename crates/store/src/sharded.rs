@@ -72,9 +72,8 @@
 //! per query and relative to the *selected* shards:
 //! `routed_shards = p`, and a down shard only degrades the queries that
 //! were routed to it (`routed = probed + failed`). These shard-health
-//! fields are written unconditionally (not gated on `StatsMode`) and
-//! overwrite whatever the children reported, so a nested sharded store
-//! describes the outermost topology.
+//! fields overwrite whatever the children reported, so a nested sharded
+//! store describes the outermost topology.
 //!
 //! ## Observability
 //!

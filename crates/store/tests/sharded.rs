@@ -115,6 +115,51 @@ proptest! {
     }
 }
 
+/// A one-shard hash store over a Vamana shard is the unsharded index:
+/// hash partitioning into one shard keeps every point in id order, so the
+/// shard's build is the same build, and fan-out + merge over one list
+/// changes nothing — ids, distance bits and the work counters all match,
+/// on the single-query and batch paths, at 1 and 8 threads.
+#[test]
+fn one_shard_store_equals_the_unsharded_index() {
+    use parlayann::{VamanaIndex, VamanaParams};
+    let d = bigann_like(1_200, 60, 515);
+    let metric = d.metric;
+    let vparams = VamanaParams::default();
+    let direct = VamanaIndex::build(d.points.clone(), metric, &vparams);
+    let store = ShardedIndex::build_with(&d.points, Partitioner::hash(1, 7), |_, ps| {
+        Arc::new(VamanaIndex::build(ps, metric, &vparams)) as Arc<dyn AnnIndex<u8> + Send + Sync>
+    });
+    let params = QueryParams {
+        k: 10,
+        beam: 48,
+        ..QueryParams::default()
+    };
+    let observe = |(res, stats): (Vec<(u32, f32)>, parlayann::SearchStats)| {
+        let bits: Vec<(u32, u32)> = res.iter().map(|&(id, d)| (id, d.to_bits())).collect();
+        (bits, stats.dist_comps, stats.hops)
+    };
+    for threads in [1, 8] {
+        parlay::with_threads(threads, || {
+            let want: Vec<_> = direct
+                .search_batch(&d.queries, &params)
+                .into_iter()
+                .map(observe)
+                .collect();
+            let batch: Vec<_> = store
+                .search_batch(&d.queries, &params)
+                .into_iter()
+                .map(observe)
+                .collect();
+            assert_eq!(batch, want, "search_batch at {threads} threads");
+            for (q, want) in want.iter().enumerate() {
+                let got = observe(store.search(d.queries.point(q), &params));
+                assert_eq!(&got, want, "search, query {q}, {threads} threads");
+            }
+        });
+    }
+}
+
 /// A mixed-kind store (Vamana + HCNNG + PyNNDescent shards) round-trips
 /// through the manifest with bitwise-identical search results — the
 /// "manifest round-trips all shardable index kinds" acceptance check.

@@ -7,7 +7,7 @@
 //! engine's batched search is bit-identical to per-query search at any
 //! block size and thread count, so whatever batches the server happens
 //! to form under racing clients, response `i` must equal reference row
-//! `i` bit for bit. The CI `serve-smoke` job runs this at
+//! `i` bit for bit. CI's `thread-matrix` job runs this file at
 //! `PARLAY_NUM_THREADS=1` and `=8`.
 
 use parlayann_suite::core::{AnnIndex, QueryParams, VamanaIndex, VamanaParams};
@@ -412,7 +412,7 @@ fn chaos_stress_answers_or_sheds_every_request_with_degraded_bit_identity() {
                                 .collect();
                             let want = merge_topk(&lists, 10);
                             if resp.degraded == resp.stats.failed_shards.is_empty()
-                                || resp.probed_shards != 4 - resp.stats.failed_shards.len()
+                                || resp.stats.probed_shards != 4 - resp.stats.failed_shards.len()
                             {
                                 errors.push(format!(
                                     "client {client}: query {q}: inconsistent degradation \
@@ -604,6 +604,99 @@ fn private_obs_sink_collects_metrics_and_traces_deterministically() {
     let mut seqs: Vec<u64> = traces.iter().map(|t| t.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, vec![0, 1, 2]);
+}
+
+/// Telemetry reads, never steers: two deterministic servers over one
+/// sharded index — one with a private obs sink on, one with it off —
+/// driven by the same submits, clock advances and pumps answer and count
+/// identically through full, deadline, shed and drain dispatches, and the
+/// Off sink records nothing at all.
+#[test]
+fn obs_on_and_off_servers_answer_identically() {
+    use parlayann_suite::obs::{Obs, ObsMode};
+    use parlayann_suite::serve::{DispatchReason, ManualClock, Response};
+    use parlayann_suite::store::build_sharded_vamana;
+
+    let data = bigann_like(600, 60, 31);
+    let params = QueryParams {
+        k: 8,
+        beam: 24,
+        ..QueryParams::default()
+    };
+    let index = Arc::new(build_sharded_vamana(&data.points, data.metric, 2, 3));
+    let clock = Arc::new(ManualClock::new());
+    let server = |mode| {
+        Server::manual(
+            index.clone(),
+            ServerConfig {
+                params,
+                max_block: 4,
+                workers: 1,
+                max_queue: 6,
+                obs: Some(Arc::new(Obs::new(mode))),
+            },
+            Arc::clone(&clock),
+        )
+    };
+    let mut servers = [server(ObsMode::On), server(ObsMode::Off)];
+    let mut handles: [Vec<_>; 2] = Default::default();
+    for q in 0..data.queries.len() {
+        // Per-request k and budget vary; pumping every 7th submit with a
+        // 6-request admission bound makes every dispatch path fire.
+        let budget = Duration::from_micros(40 + 30 * (q % 5) as u64);
+        for (server, handles) in servers.iter().zip(&mut handles) {
+            handles.push(server.submit(data.queries.point(q), 1 + q % 8, budget));
+            if q % 7 == 6 {
+                server.pump();
+            }
+        }
+        clock.advance(Duration::from_micros(10));
+    }
+    for server in &mut servers {
+        server.shutdown();
+    }
+
+    let answers = handles.map(|hs| {
+        hs.into_iter()
+            .map(|h| h.map(|h| h.try_take().expect("answered by pump or drain")))
+            .collect::<Vec<_>>()
+    });
+    let bits = |r: &Response| -> Vec<(u32, u32)> {
+        r.neighbors
+            .iter()
+            .map(|&(id, d)| (id, d.to_bits()))
+            .collect()
+    };
+    let mut reasons = Vec::new();
+    for (q, (on, off)) in answers[0].iter().zip(&answers[1]).enumerate() {
+        match (on, off) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(bits(a), bits(b), "query {q}: neighbours");
+                assert_eq!(
+                    (a.stats, a.batch_size, a.reason, a.queue_ns),
+                    (b.stats, b.batch_size, b.reason, b.queue_ns),
+                    "query {q}"
+                );
+                reasons.push(a.reason);
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "query {q}: rejection"),
+            _ => panic!("query {q}: admitted by one server only: {on:?} vs {off:?}"),
+        }
+    }
+    for reason in [
+        DispatchReason::Full,
+        DispatchReason::Deadline,
+        DispatchReason::Drain,
+    ] {
+        assert!(reasons.contains(&reason), "no {reason:?} dispatch");
+    }
+
+    let stats = servers[0].stats();
+    assert_eq!(stats, servers[1].stats());
+    assert!(stats.shed > 0, "the admission bound never shed");
+    assert!(!servers[0].recent_traces().is_empty());
+    assert!(servers[1].metrics_text().is_empty());
+    assert!(servers[1].recent_traces().is_empty());
 }
 
 /// With the process-wide sink enabled, one server's exposition spans all
