@@ -19,7 +19,7 @@
 //! out-neighborhood per call, which is what lets the 4-bit scorer gather
 //! candidates into 32-point groups and scan them with one `vpshufb` per
 //! subspace pair. Each index keeps its walk state in a
-//! [`ScratchPool`](parlayann::ScratchPool) — zero steady-state allocation
+//! [`ScratchPool`] — zero steady-state allocation
 //! — and `search_batch` is the trait's one-task-per-query loop over
 //! [`search`](AnnIndex::search), so batched and per-query results are
 //! bit-identical by construction.
@@ -280,10 +280,10 @@ impl<T: VectorElem> PqVamanaIndex<T> {
             .flat_map_iter(|i| pq.encode(&to_f32_vec(index.points().point(i))))
             .collect();
         debug_assert_eq!(codes.len(), n * code_len);
-        let (graph, start, metric, build_stats, points) = index.into_parts();
+        let (_, graph, starts, metric, build_stats, points) = index.into_parts();
         PqVamanaIndex {
             graph,
-            start,
+            start: starts[0],
             metric,
             build_stats,
             pq,
@@ -411,10 +411,10 @@ impl<T: VectorElem> Pq4VamanaIndex<T> {
     pub fn from_index(index: VamanaIndex<T>, pq_params: &Pq4Params, rerank_factor: usize) -> Self {
         let pq = ProductQuantizer4::train(index.points(), pq_params);
         let (_grouped, codes) = pq.encode_all(index.points());
-        let (graph, start, metric, build_stats, points) = index.into_parts();
+        let (_, graph, starts, metric, build_stats, points) = index.into_parts();
         Pq4VamanaIndex {
             graph,
-            start,
+            start: starts[0],
             metric,
             build_stats,
             pq,

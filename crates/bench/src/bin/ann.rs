@@ -182,7 +182,7 @@ fn cmd_stats<T: BinaryElem>(args: &[String]) {
         usage()
     };
     let index = VamanaIndex::<T>::load(Path::new(index_path)).expect("load index");
-    let stats = graph_stats(&index.graph, index.points(), index.metric, index.start);
+    let stats = graph_stats(&index.graph, index.points(), index.metric, index.starts[0]);
     println!("{}", stats.summary());
     println!("fingerprint {:x}", index.graph.fingerprint());
 }

@@ -15,7 +15,10 @@
 use crate::harness::{fmt, print_table, qps_at_recall, sweep, write_csv};
 use crate::workloads::{self, GT_K};
 use ann_data::recall_ids;
-use parlayann::{builder, HcnngIndex, HcnngParams, QueryParams, VamanaIndex, VisitedMode};
+use parlayann::{
+    builder, BuildStats, GraphIndex, HcnngIndex, HcnngParams, IndexKind, QueryParams, VamanaIndex,
+    VisitedMode,
+};
 
 /// §3.1: prefix doubling vs sequential vs one giant batch.
 pub fn prefix_doubling(scale: usize) {
@@ -56,41 +59,15 @@ pub fn prefix_doubling(scale: usize) {
         build("single batch (all at once)", false, 1.0),
     ];
     let mut rows = Vec::new();
-    for (label, graph, start, secs) in &variants {
-        struct G<'a> {
-            graph: &'a parlayann::FlatGraph,
-            start: u32,
-            points: &'a ann_data::PointSet<u8>,
-            metric: ann_data::Metric,
-        }
-        impl parlayann::AnnIndex<u8> for G<'_> {
-            fn search(
-                &self,
-                query: &[u8],
-                params: &QueryParams,
-            ) -> (Vec<(u32, f32)>, parlayann::SearchStats) {
-                let res = parlayann::beam_search(
-                    query,
-                    self.points,
-                    self.metric,
-                    self.graph,
-                    &[self.start],
-                    params,
-                );
-                let mut out = res.beam;
-                out.truncate(params.k);
-                (out, res.stats)
-            }
-            fn name(&self) -> String {
-                "ablation".into()
-            }
-        }
-        let idx = G {
+    for (label, graph, start, secs) in variants {
+        let idx = GraphIndex::from_parts(
+            IndexKind::Vamana,
             graph,
-            start: *start,
-            points: &w.data.points,
+            vec![start],
             metric,
-        };
+            BuildStats::default(),
+            w.data.points.clone(),
+        );
         let pts = sweep(
             &idx,
             &w.data.queries,
@@ -102,8 +79,8 @@ pub fn prefix_doubling(scale: usize) {
         let q90 = qps_at_recall(&pts, 0.9);
         let best = pts.last().map_or(0.0, |p| p.recall);
         rows.push(vec![
-            label.clone(),
-            fmt(*secs),
+            label,
+            fmt(secs),
             q90.map_or("n/a".into(), fmt),
             format!("{best:.4}"),
         ]);

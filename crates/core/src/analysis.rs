@@ -159,7 +159,7 @@ mod tests {
     fn vamana_graph_is_well_formed() {
         let data = bigann_like(1_500, 1, 5);
         let index = VamanaIndex::build(data.points.clone(), data.metric, &VamanaParams::default());
-        let s = graph_stats(&index.graph, index.points(), index.metric, index.start);
+        let s = graph_stats(&index.graph, index.points(), index.metric, index.starts[0]);
         assert!(s.reachable_frac > 0.95, "reachability {}", s.reachable_frac);
         assert!(s.avg_degree > 4.0);
         assert!(s.max_degree <= 32);
@@ -180,8 +180,8 @@ mod tests {
         let data = bigann_like(1_500, 1, 6);
         let vam = VamanaIndex::build(data.points.clone(), data.metric, &VamanaParams::default());
         let hcn = HcnngIndex::build(data.points.clone(), data.metric, &HcnngParams::default());
-        let sv = graph_stats(&vam.graph, vam.points(), vam.metric, vam.start);
-        let sh = graph_stats(&hcn.graph, hcn.points(), hcn.metric, hcn.start);
+        let sv = graph_stats(&vam.graph, vam.points(), vam.metric, vam.starts[0]);
+        let sh = graph_stats(&hcn.graph, hcn.points(), hcn.metric, hcn.starts[0]);
         let vam_tail = sv.p95_edge_len / sv.median_edge_len.max(1.0);
         let hcn_tail = sh.p95_edge_len / sh.median_edge_len.max(1.0);
         assert!(

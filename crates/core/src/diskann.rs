@@ -8,19 +8,15 @@
 //! the first with α = 1 and the second with the final α, which densifies
 //! long-range edges.
 
-use crate::beam::{QueryParams, SearchScratch};
 use crate::builder::{incremental_build, insertion_order, refine_pass, AlphaPrune, BuildParams};
 // (refine_pass also powers the dynamic-insert path)
-use crate::graph::FlatGraph;
+use crate::index::{GraphBuilder, GraphIndex};
 use crate::medoid::medoid;
-use crate::query::{IndexKind, IndexStats, ScratchPool};
-use crate::range::RangeParams;
-use crate::stats::{BuildStats, SearchStats};
-use crate::AnnIndex;
-use ann_data::io::BinaryElem;
+use crate::query::IndexKind;
+use crate::stats::BuildStats;
 use ann_data::{Metric, PointSet, VectorElem};
 
-/// Build parameters for [`VamanaIndex`] (paper Fig. 7 row "DiskANN").
+/// Build parameters for [`build`] (paper Fig. 7 row "DiskANN").
 #[derive(Clone, Copy, Debug)]
 pub struct VamanaParams {
     /// Degree bound `R`.
@@ -50,70 +46,72 @@ impl Default for VamanaParams {
     }
 }
 
-/// A built DiskANN/Vamana index.
-pub struct VamanaIndex<T> {
-    /// The proximity graph.
-    pub graph: FlatGraph,
-    /// Start vertex for searches (the corpus medoid).
-    pub start: u32,
-    /// Metric the index was built under.
-    pub metric: Metric,
-    /// Build statistics.
-    pub build_stats: BuildStats,
-    points: PointSet<T>,
-    pub(crate) scratch: ScratchPool<SearchScratch<T>>,
+/// A DiskANN/Vamana index: a [`GraphIndex`] built by [`build`].
+pub type VamanaIndex<T> = GraphIndex<T>;
+
+impl GraphBuilder for VamanaParams {
+    fn build<T: VectorElem>(&self, points: PointSet<T>, metric: Metric) -> GraphIndex<T> {
+        build(points, metric, self)
+    }
 }
 
-impl<T: VectorElem> VamanaIndex<T> {
-    /// Builds the index over `points`. Deterministic for fixed
-    /// (`points`, `metric`, `params`) regardless of thread count.
-    pub fn build(points: PointSet<T>, metric: Metric, params: &VamanaParams) -> Self {
-        let t0 = std::time::Instant::now();
-        let start = medoid(&points);
-        let order = insertion_order(points.len(), start, params.seed);
-        let bp = BuildParams {
-            degree: params.degree,
-            beam: params.beam,
-            batch_cap_frac: params.batch_cap_frac,
-            prefix_doubling: true,
-            cut: 1.25,
-        };
-        let first_alpha = if params.two_pass { 1.0 } else { params.alpha };
-        let (mut graph, mut dc) = incremental_build(
+/// Builds a Vamana index over `points`, searched from the medoid.
+/// Deterministic for fixed (`points`, `metric`, `params`) regardless of
+/// thread count.
+pub fn build<T: VectorElem>(
+    points: PointSet<T>,
+    metric: Metric,
+    params: &VamanaParams,
+) -> GraphIndex<T> {
+    let t0 = std::time::Instant::now();
+    let start = medoid(&points);
+    let order = insertion_order(points.len(), start, params.seed);
+    let bp = BuildParams {
+        degree: params.degree,
+        beam: params.beam,
+        batch_cap_frac: params.batch_cap_frac,
+        prefix_doubling: true,
+        cut: 1.25,
+    };
+    let first_alpha = if params.two_pass { 1.0 } else { params.alpha };
+    let (mut graph, mut dc) = incremental_build(
+        &points,
+        metric,
+        start,
+        &order,
+        &bp,
+        &AlphaPrune(first_alpha),
+    );
+    if params.two_pass {
+        dc += refine_pass(
+            &mut graph,
             &points,
             metric,
             start,
             &order,
             &bp,
-            &AlphaPrune(first_alpha),
+            &AlphaPrune(params.alpha),
         );
-        if params.two_pass {
-            dc += refine_pass(
-                &mut graph,
-                &points,
-                metric,
-                start,
-                &order,
-                &bp,
-                &AlphaPrune(params.alpha),
-            );
-        }
-        VamanaIndex {
-            graph,
-            start,
-            metric,
-            build_stats: BuildStats {
-                seconds: t0.elapsed().as_secs_f64(),
-                dist_comps: dc,
-            },
-            points,
-            scratch: ScratchPool::new(),
-        }
     }
+    let build_stats = BuildStats {
+        seconds: t0.elapsed().as_secs_f64(),
+        dist_comps: dc,
+    };
+    GraphIndex::from_parts(
+        IndexKind::Vamana,
+        graph,
+        vec![start],
+        metric,
+        build_stats,
+        points,
+    )
+}
 
-    /// Inserts a batch of new points into an existing index (deterministic
-    /// batch update — the operation the paper's batch machinery enables;
-    /// per-vertex-lock implementations cannot do this deterministically).
+impl<T: VectorElem> GraphIndex<T> {
+    /// Inserts a batch of new points by the Vamana insert rule from the
+    /// first start (deterministic batch update — the operation the paper's
+    /// batch machinery enables; per-vertex-lock implementations cannot do
+    /// this deterministically).
     ///
     /// New points receive ids `old_len..old_len + new_points.len()`.
     /// Internally runs θ-sized [`refine_pass`] batches over the new ids.
@@ -137,7 +135,7 @@ impl<T: VectorElem> VamanaIndex<T> {
             &mut self.graph,
             &self.points,
             self.metric,
-            self.start,
+            self.starts[0],
             &order,
             &bp,
             &AlphaPrune(params.alpha),
@@ -145,106 +143,14 @@ impl<T: VectorElem> VamanaIndex<T> {
         self.build_stats.seconds += t0.elapsed().as_secs_f64();
         self.build_stats.dist_comps += dc;
     }
-
-    /// Reassembles an index from its parts (deserialization, external
-    /// construction). The caller is responsible for consistency between
-    /// `graph` and `points`.
-    pub fn from_parts(
-        graph: FlatGraph,
-        start: u32,
-        metric: Metric,
-        build_stats: BuildStats,
-        points: PointSet<T>,
-    ) -> Self {
-        assert_eq!(graph.len(), points.len(), "graph/point count mismatch");
-        assert!((start as usize) < points.len(), "start out of range");
-        VamanaIndex {
-            graph,
-            start,
-            metric,
-            build_stats,
-            points,
-            scratch: ScratchPool::new(),
-        }
-    }
-
-    /// Decomposes the index into its parts (inverse of [`Self::from_parts`]).
-    pub fn into_parts(self) -> (FlatGraph, u32, Metric, BuildStats, PointSet<T>) {
-        (
-            self.graph,
-            self.start,
-            self.metric,
-            self.build_stats,
-            self.points,
-        )
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &PointSet<T> {
-        &self.points
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Beam search for `query`; returns up to `params.k` `(id, dist)` pairs.
-    pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        self.scratch.search(
-            query,
-            &self.points,
-            self.metric,
-            &self.graph,
-            &[self.start],
-            params,
-        )
-    }
-}
-
-impl<T: VectorElem + BinaryElem> AnnIndex<T> for VamanaIndex<T> {
-    fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        VamanaIndex::search(self, query, params)
-    }
-
-    fn name(&self) -> String {
-        "ParlayDiskANN".into()
-    }
-
-    fn kind(&self) -> IndexKind {
-        IndexKind::Vamana
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats::for_graph(&self.graph, self.points.dim(), self.build_stats)
-    }
-
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.points.dim()
-    }
-
-    fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {
-        VamanaIndex::range_search(self, query, params)
-    }
-
-    fn save_index(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.save(path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ann_data::{bigann_like, compute_ground_truth, recall_ids, text2image_like, PointSet};
+    use crate::beam::QueryParams;
+    use crate::index::recall_at_10;
+    use ann_data::{bigann_like, compute_ground_truth, text2image_like};
 
     #[test]
     fn builds_and_reaches_high_recall() {
@@ -255,17 +161,7 @@ mod tests {
             beam: 64,
             ..QueryParams::default()
         };
-        let results: Vec<Vec<u32>> = (0..data.queries.len())
-            .map(|q| {
-                index
-                    .search(data.queries.point(q), &qp)
-                    .0
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect()
-            })
-            .collect();
-        let r = recall_ids(&gt, &results, 10, 10);
+        let r = recall_at_10(&index, &data.queries, &gt, &qp);
         assert!(r > 0.9, "recall {r} too low");
     }
 
@@ -301,10 +197,7 @@ mod tests {
             cut: 1.0,
             ..QueryParams::default()
         };
-        let results: Vec<Vec<u32>> = (0..data.queries.len())
-            .map(|q| index.search(data.queries.point(q), &qp).0.knn_ids())
-            .collect();
-        let r = recall_ids(&gt, &results, 10, 10);
+        let r = recall_at_10(&index, &data.queries, &gt, &qp);
         assert!(r > 0.6, "OOD recall {r} unexpectedly low");
     }
 
@@ -327,15 +220,6 @@ mod tests {
         assert!(stats.dist_comps > 0);
     }
 
-    trait KnnIds {
-        fn knn_ids(self) -> Vec<u32>;
-    }
-    impl KnnIds for Vec<(u32, f32)> {
-        fn knn_ids(self) -> Vec<u32> {
-            self.into_iter().map(|(id, _)| id).collect()
-        }
-    }
-
     #[test]
     fn dynamic_insert_matches_static_build_quality() {
         let data = bigann_like(1_600, 40, 61);
@@ -355,14 +239,8 @@ mod tests {
             beam: 64,
             ..QueryParams::default()
         };
-        let recall_of = |idx: &VamanaIndex<u8>| {
-            let results: Vec<Vec<u32>> = (0..data.queries.len())
-                .map(|q| idx.search(data.queries.point(q), &qp).0.knn_ids())
-                .collect();
-            recall_ids(&gt, &results, 10, 10)
-        };
-        let r_full = recall_of(&full);
-        let r_dyn = recall_of(&dynamic);
+        let r_full = recall_at_10(&full, &data.queries, &gt, &qp);
+        let r_dyn = recall_at_10(&dynamic, &data.queries, &gt, &qp);
         assert!(
             r_dyn >= r_full - 0.05,
             "dynamic {r_dyn} much worse than static {r_full}"

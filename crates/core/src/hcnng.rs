@@ -12,21 +12,18 @@
 //! complete-graph variant is kept behind [`HcnngParams::full_mst`] for the
 //! ablation. Tree-edge union is lock-free via semisort (§3.2).
 
-use crate::beam::{QueryParams, SearchScratch};
 use crate::cluster::random_cluster_leaves;
 use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
+use crate::index::{GraphBuilder, GraphIndex};
 use crate::medoid::medoid;
 use crate::prune::robust_prune;
-use crate::query::{IndexKind, IndexStats, ScratchPool};
-use crate::range::RangeParams;
-use crate::stats::{BuildStats, SearchStats};
-use crate::AnnIndex;
-use ann_data::io::BinaryElem;
+use crate::query::IndexKind;
+use crate::stats::BuildStats;
 use ann_data::{distance, Metric, PointSet, VectorElem};
 use parlay::{group_by_u32, Random};
 use rayon::prelude::*;
 
-/// Build parameters for [`HcnngIndex`] (paper Fig. 7 row "HCNNG").
+/// Build parameters for [`build`] (paper Fig. 7 row "HCNNG").
 #[derive(Clone, Copy, Debug)]
 pub struct HcnngParams {
     /// Number of cluster trees `T` (paper: 30–50).
@@ -61,18 +58,13 @@ impl Default for HcnngParams {
     }
 }
 
-/// A built HCNNG index.
-pub struct HcnngIndex<T> {
-    /// The union-of-MSTs proximity graph.
-    pub graph: FlatGraph,
-    /// Search start point (corpus medoid).
-    pub start: u32,
-    /// Metric the index was built under.
-    pub metric: Metric,
-    /// Build statistics.
-    pub build_stats: BuildStats,
-    points: PointSet<T>,
-    scratch: ScratchPool<SearchScratch<T>>,
+/// An HCNNG index: a [`GraphIndex`] built by [`build`].
+pub type HcnngIndex<T> = GraphIndex<T>;
+
+impl GraphBuilder for HcnngParams {
+    fn build<T: VectorElem>(&self, points: PointSet<T>, metric: Metric) -> GraphIndex<T> {
+        build(points, metric, self)
+    }
 }
 
 /// Union-find with path halving + union by size (per-leaf, sequential).
@@ -208,189 +200,101 @@ fn leaf_mst<T: VectorElem>(
     dc
 }
 
-impl<T: VectorElem> HcnngIndex<T> {
-    /// Builds the index: `T` cluster trees in parallel (and parallel inside
-    /// each), leaf MSTs, then a semisort union of all edges.
-    pub fn build(points: PointSet<T>, metric: Metric, params: &HcnngParams) -> Self {
-        let t0 = std::time::Instant::now();
-        let n = points.len();
-        assert!(n > 0);
-        let rng = Random::new(params.seed ^ 0xc177);
+/// Builds an HCNNG index: `T` cluster trees in parallel (and parallel
+/// inside each), leaf MSTs, then a semisort union of all edges; searched
+/// from the medoid.
+pub fn build<T: VectorElem>(
+    points: PointSet<T>,
+    metric: Metric,
+    params: &HcnngParams,
+) -> GraphIndex<T> {
+    let t0 = std::time::Instant::now();
+    let n = points.len();
+    assert!(n > 0);
+    let rng = Random::new(params.seed ^ 0xc177);
 
-        // All trees and all leaves in parallel; each leaf emits MST edges.
-        let per_tree: Vec<(Vec<(u32, (u32, f32))>, u64)> = (0..params.num_trees)
-            .into_par_iter()
-            .map(|t| {
-                let ids: Vec<u32> = (0..n as u32).collect();
-                let leaves = random_cluster_leaves(
-                    &points,
-                    ids,
-                    params.leaf_size,
-                    metric,
-                    rng.fork(t as u64),
-                );
-                let results: Vec<(Vec<(u32, (u32, f32))>, u64)> = leaves
-                    .par_iter()
-                    .map(|leaf| {
-                        let mut out = Vec::new();
-                        let dc = leaf_mst(&points, leaf, metric, params, &mut out);
-                        (out, dc)
-                    })
-                    .collect();
-                let mut edges = Vec::new();
-                let mut dc = 0u64;
-                for (e, d) in results {
-                    edges.extend(e);
-                    dc += d;
-                }
-                (edges, dc)
-            })
-            .collect();
-
-        let mut all_edges: Vec<(u32, (u32, f32))> = Vec::new();
-        let mut dc_total = 0u64;
-        for (e, d) in per_tree {
-            all_edges.extend(e);
-            dc_total += d;
-        }
-
-        // Lock-free union: semisort by source, dedup targets, cap degree.
-        let grouped = group_by_u32(&all_edges);
-        let rows: Vec<(u32, Vec<u32>, u64)> = grouped.par_map_groups(|grp| {
-            let v = grp[0].0;
-            let mut targets: Vec<(u32, f32)> = grp.iter().map(|&(_, e)| e).collect();
-            targets.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            targets.dedup_by_key(|&mut (id, _)| id);
-            let mut dc = 0usize;
-            let out = if targets.len() > params.max_degree {
-                robust_prune(v, targets, &points, metric, 1.0, params.max_degree, &mut dc)
-            } else {
-                targets.into_iter().map(|(id, _)| id).collect()
-            };
-            (v, out, dc as u64)
-        });
-
-        let mut graph = FlatGraph::new(n, params.max_degree);
-        {
-            let writer = graph.writer();
-            // Disjoint rows (one task per distinct vertex); chunked so a task
-            // amortizes scheduling over many cheap row writes.
-            rows.par_iter()
-                .with_min_len(ROW_WRITE_GRAIN)
-                .for_each(|(v, out, _)| unsafe {
-                    writer.set_neighbors(*v, out);
-                });
-        }
-        dc_total += rows.iter().map(|&(_, _, dc)| dc).sum::<u64>();
-
-        let start = medoid(&points);
-        HcnngIndex {
-            graph,
-            start,
-            metric,
-            build_stats: BuildStats {
-                seconds: t0.elapsed().as_secs_f64(),
-                dist_comps: dc_total,
-            },
-            points,
-            scratch: ScratchPool::new(),
-        }
-    }
-
-    /// Beam search from the medoid (shared search path, §4.5).
-    pub fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        self.scratch.search(
-            query,
-            &self.points,
-            self.metric,
-            &self.graph,
-            &[self.start],
-            params,
-        )
-    }
-
-    /// The indexed points.
-    pub fn points(&self) -> &PointSet<T> {
-        &self.points
-    }
-
-    /// Reassembles an index from its parts (deserialization). The caller
-    /// is responsible for consistency between `graph` and `points`.
-    pub fn from_parts(
-        graph: FlatGraph,
-        start: u32,
-        metric: Metric,
-        build_stats: BuildStats,
-        points: PointSet<T>,
-    ) -> Self {
-        assert_eq!(graph.len(), points.len(), "graph/point count mismatch");
-        assert!((start as usize) < points.len(), "start out of range");
-        HcnngIndex {
-            graph,
-            start,
-            metric,
-            build_stats,
-            points,
-            scratch: ScratchPool::new(),
-        }
-    }
-}
-
-impl<T: VectorElem + BinaryElem> AnnIndex<T> for HcnngIndex<T> {
-    fn search(&self, query: &[T], params: &QueryParams) -> (Vec<(u32, f32)>, SearchStats) {
-        HcnngIndex::search(self, query, params)
-    }
-
-    fn name(&self) -> String {
-        "ParlayHCNNG".into()
-    }
-
-    fn kind(&self) -> IndexKind {
-        IndexKind::Hcnng
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats::for_graph(&self.graph, self.points.dim(), self.build_stats)
-    }
-
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.points.dim()
-    }
-
-    fn range_search(&self, query: &[T], params: &RangeParams) -> (Vec<(u32, f32)>, SearchStats) {
-        self.scratch.with(|scratch| {
-            crate::range::range_search(
-                scratch,
-                query,
-                &self.points,
-                self.metric,
-                &self.graph,
-                &[self.start],
-                params,
-            )
+    // All trees and all leaves in parallel; each leaf emits MST edges.
+    let per_tree: Vec<(Vec<(u32, (u32, f32))>, u64)> = (0..params.num_trees)
+        .into_par_iter()
+        .map(|t| {
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let leaves =
+                random_cluster_leaves(&points, ids, params.leaf_size, metric, rng.fork(t as u64));
+            let results: Vec<(Vec<(u32, (u32, f32))>, u64)> = leaves
+                .par_iter()
+                .map(|leaf| {
+                    let mut out = Vec::new();
+                    let dc = leaf_mst(&points, leaf, metric, params, &mut out);
+                    (out, dc)
+                })
+                .collect();
+            let mut edges = Vec::new();
+            let mut dc = 0u64;
+            for (e, d) in results {
+                edges.extend(e);
+                dc += d;
+            }
+            (edges, dc)
         })
+        .collect();
+
+    let mut all_edges: Vec<(u32, (u32, f32))> = Vec::new();
+    let mut dc_total = 0u64;
+    for (e, d) in per_tree {
+        all_edges.extend(e);
+        dc_total += d;
     }
 
-    fn save_index(&self, path: &std::path::Path) -> std::io::Result<()> {
-        crate::io::save_flat_index(
-            path,
-            IndexKind::Hcnng,
-            self.metric,
-            &[self.start],
-            &self.graph,
-            &self.points,
-        )
+    // Lock-free union: semisort by source, dedup targets, cap degree.
+    let grouped = group_by_u32(&all_edges);
+    let rows: Vec<(u32, Vec<u32>, u64)> = grouped.par_map_groups(|grp| {
+        let v = grp[0].0;
+        let mut targets: Vec<(u32, f32)> = grp.iter().map(|&(_, e)| e).collect();
+        targets.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        targets.dedup_by_key(|&mut (id, _)| id);
+        let mut dc = 0usize;
+        let out = if targets.len() > params.max_degree {
+            robust_prune(v, targets, &points, metric, 1.0, params.max_degree, &mut dc)
+        } else {
+            targets.into_iter().map(|(id, _)| id).collect()
+        };
+        (v, out, dc as u64)
+    });
+
+    let mut graph = FlatGraph::new(n, params.max_degree);
+    {
+        let writer = graph.writer();
+        // Disjoint rows (one task per distinct vertex); chunked so a task
+        // amortizes scheduling over many cheap row writes.
+        rows.par_iter()
+            .with_min_len(ROW_WRITE_GRAIN)
+            .for_each(|(v, out, _)| unsafe {
+                writer.set_neighbors(*v, out);
+            });
     }
+    dc_total += rows.iter().map(|&(_, _, dc)| dc).sum::<u64>();
+
+    let start = medoid(&points);
+    let build_stats = BuildStats {
+        seconds: t0.elapsed().as_secs_f64(),
+        dist_comps: dc_total,
+    };
+    GraphIndex::from_parts(
+        IndexKind::Hcnng,
+        graph,
+        vec![start],
+        metric,
+        build_stats,
+        points,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ann_data::{bigann_like, compute_ground_truth, recall_ids};
+    use crate::beam::QueryParams;
+    use crate::index::recall_at_10;
+    use ann_data::{bigann_like, compute_ground_truth};
 
     #[test]
     fn union_find_basics() {
@@ -437,17 +341,7 @@ mod tests {
             beam: 64,
             ..QueryParams::default()
         };
-        let results: Vec<Vec<u32>> = (0..data.queries.len())
-            .map(|q| {
-                index
-                    .search(data.queries.point(q), &qp)
-                    .0
-                    .into_iter()
-                    .map(|(id, _)| id)
-                    .collect()
-            })
-            .collect();
-        let r = recall_ids(&gt, &results, 10, 10);
+        let r = recall_at_10(&index, &data.queries, &gt, &qp);
         assert!(r > 0.85, "recall {r} too low");
     }
 
@@ -487,17 +381,7 @@ mod tests {
                 ..HcnngParams::default()
             };
             let index = HcnngIndex::build(data.points.clone(), data.metric, &params);
-            let results: Vec<Vec<u32>> = (0..data.queries.len())
-                .map(|q| {
-                    index
-                        .search(data.queries.point(q), &qp)
-                        .0
-                        .into_iter()
-                        .map(|(id, _)| id)
-                        .collect()
-                })
-                .collect();
-            recall_ids(&gt, &results, 10, 10)
+            recall_at_10(&index, &data.queries, &gt, &qp)
         };
         let restricted = recall_of(false);
         let full = recall_of(true);

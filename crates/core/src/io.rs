@@ -1,4 +1,4 @@
-//! Index persistence.
+//! Index persistence: one type, one loader.
 //!
 //! Determinism makes persistence trivial to validate: a saved-and-reloaded
 //! index is bit-identical to the original (same fingerprint), and two
@@ -6,11 +6,14 @@
 //! one of the paper's motivations ("persistence, crash recovery, or
 //! replication ... for vector databases", §1).
 //!
+//! Every persisted index is a [`GraphIndex`] (Vamana, HCNNG or
+//! PyNNDescent — they differ only in their builder), so
+//! [`GraphIndex::save`] writes every file and [`GraphIndex::load`] reads
+//! every file; [`load_index`] boxes it behind [`AnnIndex`].
+//!
 //! ## Format
 //!
-//! Version 2 (current) is kind-tagged so one loader serves every
-//! flat-graph index family (the [`AnnIndex::save_index`] /
-//! [`load_index`] hooks):
+//! Version 2 (current) is kind-tagged:
 //!
 //! ```text
 //! magic "PANN" | version=2 u32 | kind u8 | metric u8 | dim u64 | n u64 |
@@ -22,11 +25,19 @@
 //! unified query layer; they still load, as Vamana. An unknown version or
 //! kind tag is an [`io::ErrorKind::InvalidData`] error, never a
 //! misinterpretation.
+//!
+//! ## Hostile files
+//!
+//! The loader trusts nothing it reads. Every header-driven size (starts,
+//! vertex counts, adjacency slots, point bytes) is checked against the
+//! file's length with checked arithmetic before anything is allocated;
+//! `dim` and `max_degree` must be positive, every neighbour id and start
+//! must be `< n`, and the file must end where the points do. A corrupt
+//! file is `InvalidData` or `UnexpectedEof`, never a panic, an allocator
+//! abort, or an index whose first search reads out of bounds.
 
-use crate::diskann::VamanaIndex;
 use crate::graph::FlatGraph;
-use crate::hcnng::HcnngIndex;
-use crate::pynndescent::PyNNDescentIndex;
+use crate::index::GraphIndex;
 use crate::query::{AnnIndex, IndexKind};
 use crate::stats::BuildStats;
 use ann_data::io::BinaryElem;
@@ -102,6 +113,18 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// `count` as a `usize`, if the product of `count` and `factors` fits in
+/// `len` (the source's byte length) — the guard every header-driven
+/// allocation passes first.
+fn within(len: u64, what: &str, count: u64, factors: &[u64]) -> io::Result<usize> {
+    factors
+        .iter()
+        .try_fold(count, |acc, &f| acc.checked_mul(f))
+        .filter(|&total| total <= len)
+        .and_then(|_| usize::try_from(count).ok())
+        .ok_or_else(|| invalid(format!("{what} ({count}) too large for a {len}-byte file")))
+}
+
 /// Prefixes an error with the file it came from, preserving its kind. A
 /// corrupt shard inside a manifest directory is diagnosable only if the
 /// error names which of the N sibling files failed and what was found
@@ -125,10 +148,18 @@ pub fn write_graph(w: &mut impl Write, graph: &FlatGraph) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a graph written by [`write_graph`].
-pub fn read_graph(r: &mut impl Read) -> io::Result<FlatGraph> {
-    let n = read_u64(r)? as usize;
-    let max_degree = read_u64(r)? as usize;
+/// Reads a graph written by [`write_graph`] from a source of `len` bytes.
+/// The header's sizes are checked against `len` before allocating (`n`
+/// counts of 4 bytes, `n × max_degree` adjacency slots), and every row
+/// against `max_degree` and `n`.
+pub fn read_graph(r: &mut impl Read, len: u64) -> io::Result<FlatGraph> {
+    let n = read_u64(r)?;
+    let max_degree = read_u64(r)?;
+    if max_degree == 0 {
+        return Err(invalid("graph declares max_degree 0"));
+    }
+    let n = within(len, "graph vertex count", n, &[4])?;
+    let max_degree = within(len, "graph degree bound", max_degree, &[n as u64])?;
     let counts = read_u32s(r, n)?;
     let mut graph = FlatGraph::new(n, max_degree);
     for (v, &c) in counts.iter().enumerate() {
@@ -138,6 +169,11 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<FlatGraph> {
             )));
         }
         let row = read_u32s(r, c as usize)?;
+        if let Some(&bad) = row.iter().find(|&&w| w as usize >= n) {
+            return Err(invalid(format!(
+                "vertex {v} has neighbour {bad} out of range ({n})"
+            )));
+        }
         graph.set_neighbors(v as u32, &row);
     }
     Ok(graph)
@@ -155,7 +191,13 @@ fn write_points<T: BinaryElem>(w: &mut impl Write, points: &PointSet<T>) -> io::
     Ok(())
 }
 
-fn read_points<T: BinaryElem>(r: &mut impl Read, n: usize, dim: usize) -> io::Result<PointSet<T>> {
+/// Reads `n × dim` elements from a source of `len` bytes.
+fn read_points<T: BinaryElem>(
+    r: &mut impl Read,
+    n: usize,
+    dim: u64,
+    len: u64,
+) -> io::Result<PointSet<T>> {
     let width = read_u8(r)?;
     if width as usize != T::WIDTH {
         return Err(invalid(format!(
@@ -164,246 +206,128 @@ fn read_points<T: BinaryElem>(r: &mut impl Read, n: usize, dim: usize) -> io::Re
             T::WIDTH
         )));
     }
+    if dim == 0 {
+        return Err(invalid("index file declares dimension 0"));
+    }
+    let dim = within(len, "dimension", dim, &[n as u64, T::WIDTH as u64])?;
     let mut raw = vec![0u8; n * dim * T::WIDTH];
     r.read_exact(&mut raw)?;
     let data: Vec<T> = raw.chunks_exact(T::WIDTH).map(T::decode).collect();
     Ok(PointSet::new(data, dim))
 }
 
-/// Saves a single-level flat-graph index (graph + starts + vectors +
-/// metadata) in the v2 kind-tagged format. Backs
-/// [`AnnIndex::save_index`] for Vamana, HCNNG, and PyNNDescent.
-pub fn save_flat_index<T: BinaryElem>(
-    path: &Path,
-    kind: IndexKind,
-    metric: Metric,
-    starts: &[u32],
-    graph: &FlatGraph,
-    points: &PointSet<T>,
-) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&[kind.tag()])?;
-    w.write_all(&[metric_tag(metric)])?;
-    w.write_all(&(points.dim() as u64).to_le_bytes())?;
-    w.write_all(&(points.len() as u64).to_le_bytes())?;
-    w.write_all(&(starts.len() as u32).to_le_bytes())?;
-    write_u32s(&mut w, starts)?;
-    write_graph(&mut w, graph)?;
-    write_points(&mut w, points)?;
-    w.flush()
-}
-
-/// The decoded contents of an index file (either format version).
-pub struct FlatIndexParts<T> {
-    /// Index family recorded in the file (v1 files decode as Vamana).
-    pub kind: IndexKind,
-    /// Scoring metric.
-    pub metric: Metric,
-    /// Search entry points (v1: exactly one).
-    pub starts: Vec<u32>,
-    /// The proximity graph.
-    pub graph: FlatGraph,
-    /// The indexed vectors.
-    pub points: PointSet<T>,
-}
-
-/// Reads an index file written by [`save_flat_index`] (v2) or by the
-/// pre-kind-tag writer (v1 → Vamana). Unknown versions and kind tags are
-/// [`io::ErrorKind::InvalidData`] errors.
-pub fn read_flat_index<T: BinaryElem>(path: &Path) -> io::Result<FlatIndexParts<T>> {
-    let mut r = BufReader::new(File::open(path).map_err(|e| with_path(path, e))?);
-    read_flat_index_from(&mut r).map_err(|e| with_path(path, e))
-}
-
-/// [`read_flat_index`] against an already-open reader (no path context —
-/// the public entry point adds it).
-fn read_flat_index_from<T: BinaryElem>(mut r: impl Read) -> io::Result<FlatIndexParts<T>> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(invalid(format!(
-            "bad magic {:02x?} (expected {MAGIC:02x?} — not a ParlayANN index file)",
-            magic
-        )));
-    }
-    let version = read_u32(&mut r)?;
-    let (kind, metric) = match version {
-        1 => (IndexKind::Vamana, metric_from_tag(read_u8(&mut r)?)?),
-        2 => {
-            let kind_tag = read_u8(&mut r)?;
-            let kind = IndexKind::from_tag(kind_tag)
-                .ok_or_else(|| invalid(format!("unknown index kind tag {kind_tag}")))?;
-            (kind, metric_from_tag(read_u8(&mut r)?)?)
-        }
-        other => {
-            return Err(invalid(format!(
-                "unsupported index file version {other} (this build reads 1..={VERSION})"
-            )))
-        }
-    };
-    let dim = read_u64(&mut r)? as usize;
-    let n = read_u64(&mut r)? as usize;
-    let starts = if version == 1 {
-        vec![read_u32(&mut r)?]
-    } else {
-        let nstarts = read_u32(&mut r)? as usize;
-        read_u32s(&mut r, nstarts)?
-    };
-    if starts.is_empty() {
-        return Err(invalid("index file declares no start vertices"));
-    }
-    if let Some(&bad) = starts.iter().find(|&&s| s as usize >= n) {
-        return Err(invalid(format!("start vertex {bad} out of range ({n})")));
-    }
-    let graph = read_graph(&mut r)?;
-    if graph.len() != n {
-        return Err(invalid("graph/point count mismatch"));
-    }
-    let points = read_points(&mut r, n, dim)?;
-    Ok(FlatIndexParts {
-        kind,
-        metric,
-        starts,
-        graph,
-        points,
-    })
-}
-
-fn expect_kind(parts: &FlatIndexParts<impl BinaryElem>, want: IndexKind) -> io::Result<()> {
-    if parts.kind != want {
-        return Err(invalid(format!(
-            "file holds a {} index, not {}",
-            parts.kind.name(),
-            want.name()
-        )));
-    }
-    Ok(())
-}
-
-fn single_start(parts: &FlatIndexParts<impl BinaryElem>) -> io::Result<u32> {
-    match parts.starts.as_slice() {
-        [s] => Ok(*s),
-        other => Err(invalid(format!(
-            "expected exactly one start vertex, file has {}",
-            other.len()
-        ))),
-    }
-}
-
-impl<T: BinaryElem> VamanaIndex<T> {
-    /// Saves the index (graph + vectors + metadata) to `path`.
+impl<T: BinaryElem> GraphIndex<T> {
+    /// Saves the index (kind, graph, starts, vectors, metric) to `path`
+    /// in the v2 format.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        save_flat_index(
-            path,
-            IndexKind::Vamana,
-            self.metric,
-            &[self.start],
-            &self.graph,
-            self.points(),
-        )
+        let points = self.points();
+        let mut w = BufWriter::new(File::create(path)?);
+        w.write_all(MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        w.write_all(&[self.kind.tag()])?;
+        w.write_all(&[metric_tag(self.metric)])?;
+        w.write_all(&(points.dim() as u64).to_le_bytes())?;
+        w.write_all(&(points.len() as u64).to_le_bytes())?;
+        w.write_all(&(self.starts.len() as u32).to_le_bytes())?;
+        write_u32s(&mut w, &self.starts)?;
+        write_graph(&mut w, &self.graph)?;
+        write_points(&mut w, points)?;
+        w.flush()
     }
 
-    /// Loads an index written by [`Self::save`] (or a v1-format file).
+    /// Loads an index written by [`Self::save`] (v2, any flat family) or
+    /// by the pre-kind-tag writer (v1 → Vamana). Errors name `path`.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let parts = read_flat_index::<T>(path)?;
-        expect_kind(&parts, IndexKind::Vamana)?;
-        let start = single_start(&parts)?;
-        Ok(VamanaIndex::from_parts(
-            parts.graph,
-            start,
-            parts.metric,
+        let file = File::open(path).map_err(|e| with_path(path, e))?;
+        let len = file.metadata().map_err(|e| with_path(path, e))?.len();
+        Self::decode(BufReader::new(file), len).map_err(|e| with_path(path, e))
+    }
+
+    /// [`Self::load`] against an already-open reader over `len` bytes (no
+    /// path context — `load` adds it).
+    fn decode(mut r: impl Read, len: u64) -> io::Result<Self> {
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC {
+            return Err(invalid(format!(
+                "bad magic {:02x?} (expected {MAGIC:02x?} — not a ParlayANN index file)",
+                magic
+            )));
+        }
+        let version = read_u32(&mut r)?;
+        let kind = match version {
+            1 => IndexKind::Vamana,
+            2 => {
+                let tag = read_u8(&mut r)?;
+                IndexKind::from_tag(tag)
+                    .ok_or_else(|| invalid(format!("unknown index kind tag {tag}")))?
+            }
+            other => {
+                return Err(invalid(format!(
+                    "unsupported index file version {other} (this build reads 1..={VERSION})"
+                )))
+            }
+        };
+        if !matches!(
+            kind,
+            IndexKind::Vamana | IndexKind::Hcnng | IndexKind::PyNNDescent
+        ) {
+            return Err(invalid(format!(
+                "index kind {} has no persistent form",
+                kind.name()
+            )));
+        }
+        let metric = metric_from_tag(read_u8(&mut r)?)?;
+        let dim = read_u64(&mut r)?;
+        let n = read_u64(&mut r)?;
+        let starts = if version == 1 {
+            vec![read_u32(&mut r)?]
+        } else {
+            let nstarts = read_u32(&mut r)?;
+            read_u32s(&mut r, within(len, "start count", nstarts.into(), &[4])?)?
+        };
+        if starts.is_empty() {
+            return Err(invalid("index file declares no start vertices"));
+        }
+        if let Some(&bad) = starts.iter().find(|&&s| s as u64 >= n) {
+            return Err(invalid(format!("start vertex {bad} out of range ({n})")));
+        }
+        let graph = read_graph(&mut r, len)?;
+        if graph.len() as u64 != n {
+            return Err(invalid("graph/point count mismatch"));
+        }
+        let points = read_points(&mut r, graph.len(), dim, len)?;
+        if r.read(&mut [0u8])? != 0 {
+            return Err(invalid("trailing bytes after the points"));
+        }
+        Ok(GraphIndex::from_parts(
+            kind,
+            graph,
+            starts,
+            metric,
             BuildStats::default(),
-            parts.points,
+            points,
         ))
     }
 }
 
-impl<T: BinaryElem> HcnngIndex<T> {
-    /// Loads an index written by [`AnnIndex::save_index`].
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let parts = read_flat_index::<T>(path)?;
-        expect_kind(&parts, IndexKind::Hcnng)?;
-        let start = single_start(&parts)?;
-        Ok(HcnngIndex::from_parts(
-            parts.graph,
-            start,
-            parts.metric,
-            BuildStats::default(),
-            parts.points,
-        ))
-    }
-}
-
-impl<T: BinaryElem> PyNNDescentIndex<T> {
-    /// Loads an index written by [`AnnIndex::save_index`].
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let parts = read_flat_index::<T>(path)?;
-        expect_kind(&parts, IndexKind::PyNNDescent)?;
-        Ok(PyNNDescentIndex::from_parts(
-            parts.graph,
-            parts.starts,
-            parts.metric,
-            BuildStats::default(),
-            parts.points,
-        ))
-    }
-}
-
-/// Loads any persisted index behind the uniform [`AnnIndex`] interface,
-/// dispatching on the file's kind tag — the load half of the trait's
-/// persistence hook. Kinds without a persistent form (HNSW, the
+/// Loads any persisted index behind the uniform [`AnnIndex`] interface
+/// (every persisted index is a [`GraphIndex`]; the file's kind tag says
+/// which builder made it). Kinds without a persistent form (HNSW, the
 /// baselines) cannot appear in well-formed files and are rejected.
 /// Returned boxes are `Send + Sync` so loaders can hand them straight to
 /// serving layers and sharded stores.
 pub fn load_index<T: BinaryElem>(path: &Path) -> io::Result<Box<dyn AnnIndex<T> + Send + Sync>> {
-    let parts = read_flat_index::<T>(path)?;
-    Ok(match parts.kind {
-        IndexKind::Vamana => {
-            let start = single_start(&parts)?;
-            Box::new(VamanaIndex::from_parts(
-                parts.graph,
-                start,
-                parts.metric,
-                BuildStats::default(),
-                parts.points,
-            ))
-        }
-        IndexKind::Hcnng => {
-            let start = single_start(&parts)?;
-            Box::new(HcnngIndex::from_parts(
-                parts.graph,
-                start,
-                parts.metric,
-                BuildStats::default(),
-                parts.points,
-            ))
-        }
-        IndexKind::PyNNDescent => Box::new(PyNNDescentIndex::from_parts(
-            parts.graph,
-            parts.starts,
-            parts.metric,
-            BuildStats::default(),
-            parts.points,
-        )),
-        other => {
-            return Err(invalid(format!(
-                "{}: index kind {} has no persistent form",
-                path.display(),
-                other.name()
-            )))
-        }
-    })
+    Ok(Box::new(GraphIndex::load(path)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::beam::QueryParams;
-    use crate::diskann::VamanaParams;
-    use crate::hcnng::HcnngParams;
-    use crate::pynndescent::PyNNDescentParams;
+    use crate::diskann::{VamanaIndex, VamanaParams};
+    use crate::hcnng::{HcnngIndex, HcnngParams};
+    use crate::pynndescent::{PyNNDescentIndex, PyNNDescentParams};
     use ann_data::bigann_like;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -419,30 +343,82 @@ mod tests {
         g.set_neighbors(4, &[0]);
         let mut buf = Vec::new();
         write_graph(&mut buf, &g).unwrap();
-        let back = read_graph(&mut buf.as_slice()).unwrap();
+        let back = read_graph(&mut buf.as_slice(), buf.len() as u64).unwrap();
         assert_eq!(back.fingerprint(), g.fingerprint());
         assert_eq!(back.max_degree(), 3);
     }
 
+    /// One small index of every flat family (Vamana, HCNNG, PyNNDescent)
+    /// over the same data, and its queries.
+    fn every_flat_family() -> ([GraphIndex<u8>; 3], PointSet<u8>) {
+        let data = bigann_like(500, 5, 79);
+        let pynn = PyNNDescentParams {
+            num_trees: 4,
+            max_iters: 3,
+            ..PyNNDescentParams::default()
+        };
+        let built = [
+            VamanaIndex::build(data.points.clone(), data.metric, &VamanaParams::default()),
+            HcnngIndex::build(data.points.clone(), data.metric, &HcnngParams::default()),
+            PyNNDescentIndex::build(data.points.clone(), data.metric, &pynn),
+        ];
+        (built, data.queries)
+    }
+
+    fn roundtrip_qp() -> QueryParams {
+        QueryParams {
+            beam: 32,
+            ..QueryParams::default()
+        }
+    }
+
     #[test]
     fn index_roundtrip_preserves_everything() {
-        let data = bigann_like(600, 10, 77);
-        let index = VamanaIndex::build(data.points.clone(), data.metric, &VamanaParams::default());
-        let path = tmp("idx.pann");
-        index.save(&path).unwrap();
-        let loaded = VamanaIndex::<u8>::load(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(loaded.graph.fingerprint(), index.graph.fingerprint());
-        assert_eq!(loaded.start, index.start);
-        assert_eq!(loaded.metric, index.metric);
-        assert_eq!(loaded.points(), index.points());
-        // Identical search behaviour.
-        let qp = QueryParams::default();
-        for q in 0..5 {
-            assert_eq!(
-                index.search(data.queries.point(q), &qp).0,
-                loaded.search(data.queries.point(q), &qp).0
-            );
+        // Every flat family through GraphIndex::load: kind, starts,
+        // metric, points, graph and search answers (with their counters)
+        // survive.
+        let (built, queries) = every_flat_family();
+        let qp = roundtrip_qp();
+        for index in &built {
+            let path = tmp(&format!("{}.pann", index.kind.name()));
+            index.save(&path).unwrap();
+            let loaded = GraphIndex::<u8>::load(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(loaded.kind, index.kind);
+            assert_eq!(loaded.starts, index.starts);
+            assert_eq!(loaded.metric, index.metric);
+            assert_eq!(loaded.points(), index.points());
+            assert_eq!(loaded.graph.fingerprint(), index.graph.fingerprint());
+            for q in 0..queries.len() {
+                let query = queries.point(q);
+                let want = index.search(query, &qp);
+                assert_eq!(loaded.search(query, &qp), want, "{:?}", index.kind);
+            }
+        }
+    }
+
+    #[test]
+    fn kind_tagged_roundtrip_through_dyn_loader() {
+        // Saved through the trait's persistence hook and loaded through
+        // load_index, every flat family reports its own kind and answers
+        // like the index it was saved from.
+        let (built, queries) = every_flat_family();
+        let qp = roundtrip_qp();
+        for index in &built {
+            let path = tmp(&format!("dyn-{}.pann", index.kind.name()));
+            AnnIndex::save_index(index, &path).unwrap();
+            let loaded = load_index::<u8>(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(loaded.kind(), index.kind);
+            for q in 0..queries.len() {
+                let query = queries.point(q);
+                assert_eq!(
+                    loaded.search(query, &qp),
+                    index.search(query, &qp),
+                    "{:?}",
+                    index.kind
+                );
+            }
         }
     }
 
@@ -462,74 +438,103 @@ mod tests {
                 .unwrap();
             w.write_all(&(index.points().len() as u64).to_le_bytes())
                 .unwrap();
-            w.write_all(&index.start.to_le_bytes()).unwrap();
+            w.write_all(&index.starts[0].to_le_bytes()).unwrap();
             write_graph(&mut w, &index.graph).unwrap();
             write_points(&mut w, index.points()).unwrap();
             w.flush().unwrap();
         }
         let loaded = VamanaIndex::<u8>::load(&path).unwrap();
         assert_eq!(loaded.graph.fingerprint(), index.graph.fingerprint());
+        assert_eq!(loaded.kind, IndexKind::Vamana);
         let dyn_loaded = load_index::<u8>(&path).unwrap();
         assert_eq!(dyn_loaded.kind(), IndexKind::Vamana);
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A saved 500-point Vamana file, its bytes, and the queries.
+    fn saved_small_index(name: &str) -> (std::path::PathBuf, Vec<u8>, PointSet<u8>) {
+        let data = bigann_like(500, 5, 81);
+        let index = VamanaIndex::build(data.points, data.metric, &VamanaParams::default());
+        let path = tmp(name);
+        index.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes, data.queries)
+    }
+
+    fn load_patched(path: &Path, bytes: &[u8]) -> io::Result<Box<dyn AnnIndex<u8> + Send + Sync>> {
+        std::fs::write(path, bytes).unwrap();
+        load_index::<u8>(path)
+    }
+
     #[test]
-    fn kind_tagged_roundtrip_through_dyn_loader() {
-        use crate::query::AnnIndex;
-        let data = bigann_like(500, 5, 79);
-        let qp = QueryParams {
-            beam: 32,
-            ..QueryParams::default()
+    fn hostile_headers_are_invalid_data() {
+        let (path, bytes, _) = saved_small_index("hostile.pann");
+        // The v2 header is 30 bytes + 4 per start (Vamana has one); the
+        // graph header (n, max_degree) follows, then n counts, then edges.
+        let (graph_at, first_edge) = (34, 34 + 16 + 4 * 500);
+        let patched = |at: usize, with: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + with.len()].copy_from_slice(with);
+            b
         };
-
-        let hc = HcnngIndex::build(data.points.clone(), data.metric, &HcnngParams::default());
-        let path = tmp("hcnng.pann");
-        hc.save_index(&path).unwrap();
-        let loaded = load_index::<u8>(&path).unwrap();
-        assert_eq!(loaded.kind(), IndexKind::Hcnng);
-        assert_eq!(
-            loaded.search(data.queries.point(0), &qp).0,
-            hc.search(data.queries.point(0), &qp).0
-        );
-        // The concrete loader agrees.
-        assert_eq!(
-            HcnngIndex::<u8>::load(&path).unwrap().graph.fingerprint(),
-            hc.graph.fingerprint()
-        );
-        std::fs::remove_file(&path).unwrap();
-
-        let py = PyNNDescentIndex::build(
-            data.points.clone(),
-            data.metric,
-            &PyNNDescentParams {
-                num_trees: 4,
-                max_iters: 3,
-                ..PyNNDescentParams::default()
-            },
-        );
-        let path = tmp("pynn.pann");
-        py.save_index(&path).unwrap();
-        let loaded = load_index::<u8>(&path).unwrap();
-        assert_eq!(loaded.kind(), IndexKind::PyNNDescent);
-        assert_eq!(
-            loaded.search(data.queries.point(0), &qp).0,
-            py.search(data.queries.point(0), &qp).0
-        );
+        for (what, patched) in [
+            (
+                "neighbour id = n",
+                patched(first_edge, &500u32.to_le_bytes()),
+            ),
+            ("max_degree 0", patched(graph_at + 8, &0u64.to_le_bytes())),
+            (
+                "graph n = 2^40",
+                patched(graph_at, &(1u64 << 40).to_le_bytes()),
+            ),
+            ("dim = 2^62", patched(10, &(1u64 << 62).to_le_bytes())),
+            ("trailing byte", [bytes.as_slice(), &[0]].concat()),
+        ] {
+            let err = load_patched(&path, &patched)
+                .err()
+                .unwrap_or_else(|| panic!("{what}: loaded"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn loading_with_the_wrong_kind_is_rejected() {
-        let data = bigann_like(200, 1, 80);
-        let hc = HcnngIndex::build(data.points.clone(), data.metric, &HcnngParams::default());
-        let path = tmp("wrongkind.pann");
-        crate::query::AnnIndex::save_index(&hc, &path).unwrap();
-        let err = match VamanaIndex::<u8>::load(&path) {
-            Err(e) => e,
-            Ok(_) => panic!("kind mismatch must fail"),
-        };
-        assert!(err.to_string().contains("hcnng"), "{err}");
+    fn mutated_bytes_never_panic_the_loader() {
+        // Every header byte (file + graph header) and a hash-spread sample
+        // of the rest, each set to 0x00, 0xFF and one pseudo-random value:
+        // the loader answers Ok, InvalidData or UnexpectedEof, and an index
+        // it accepts answers every query without panicking.
+        let (path, bytes, queries) = saved_small_index("mutated.pann");
+        let header = 34 + 16;
+        let sample = (0..256u64).map(|i| {
+            header + (parlay::hash64(i ^ 0x6d75) % (bytes.len() - header) as u64) as usize
+        });
+        let qp = QueryParams::default();
+        let mut accepted = 0usize;
+        for at in (0..header).chain(sample) {
+            let random = parlay::hash64(at as u64) as u8;
+            for value in [0x00, 0xFF, random] {
+                let mut patched = bytes.clone();
+                patched[at] = value;
+                match load_patched(&path, &patched) {
+                    Ok(index) => {
+                        accepted += 1;
+                        for q in 0..queries.len() {
+                            index.search(queries.point(q), &qp);
+                        }
+                    }
+                    Err(e) => assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ),
+                        "byte {at} = {value:#04x}: {e}"
+                    ),
+                }
+            }
+        }
+        // Point bytes and most edge ids are free to change.
+        assert!(accepted > 0);
         std::fs::remove_file(&path).unwrap();
     }
 

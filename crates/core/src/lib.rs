@@ -10,6 +10,15 @@
 //! a bit-identical graph ([`graph::FlatGraph::fingerprint`]) for any number
 //! of worker threads. No locks are used anywhere in this crate.
 //!
+//! DiskANN/Vamana, HCNNG and PyNNDescent differ only in how they build the
+//! graph, so all three are one [`GraphIndex`]: one search path, one
+//! [`AnnIndex`] impl, one persistent form ([`io`]). The per-family code is
+//! a builder function ([`diskann::build`], [`hcnng::build`],
+//! [`pynndescent::build`]) that [`GraphIndex::build`] picks from the params
+//! type; [`VamanaIndex`], [`HcnngIndex`] and [`PyNNDescentIndex`] are names
+//! for the same type. HNSW ([`HnswIndex`]) is separate: its entry point
+//! comes from a per-query descent through its upper layers.
+//!
 //! ```
 //! use ann_data::{bigann_like, compute_ground_truth, recall_ids};
 //! use parlayann::{AnnIndex, VamanaIndex, VamanaParams, QueryParams};
@@ -40,6 +49,7 @@ pub mod diskann;
 pub mod graph;
 pub mod hcnng;
 pub mod hnsw;
+pub mod index;
 pub mod io;
 pub mod medoid;
 pub mod params;
@@ -56,6 +66,7 @@ pub use diskann::{VamanaIndex, VamanaParams};
 pub use graph::FlatGraph;
 pub use hcnng::{HcnngIndex, HcnngParams};
 pub use hnsw::{HnswIndex, HnswParams};
+pub use index::{GraphBuilder, GraphIndex};
 pub use io::load_index;
 pub use medoid::medoid;
 pub use prune::{heuristic_prune, robust_prune};

@@ -35,13 +35,16 @@ use std::sync::Mutex;
 /// persisted in the v2 index file header (see [`crate::io`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IndexKind {
-    /// DiskANN/Vamana ([`crate::diskann::VamanaIndex`]).
+    /// DiskANN/Vamana: a [`GraphIndex`](crate::GraphIndex) built by
+    /// [`crate::diskann::build`].
     Vamana,
-    /// HNSW ([`crate::hnsw::HnswIndex`]).
+    /// HNSW ([`crate::hnsw::HnswIndex`]); no persistent form.
     Hnsw,
-    /// HCNNG ([`crate::hcnng::HcnngIndex`]).
+    /// HCNNG: a [`GraphIndex`](crate::GraphIndex) built by
+    /// [`crate::hcnng::build`].
     Hcnng,
-    /// PyNNDescent ([`crate::pynndescent::PyNNDescentIndex`]).
+    /// PyNNDescent: a [`GraphIndex`](crate::GraphIndex) built by
+    /// [`crate::pynndescent::build`].
     PyNNDescent,
     /// Inverted-file baseline (`ann_baselines::IvfIndex`).
     Ivf,
@@ -230,8 +233,9 @@ pub trait AnnIndex<T: VectorElem>: Sync {
     }
 
     /// Persists the index to `path` in the kind-tagged v2 format (see
-    /// [`crate::io`]); reload via [`crate::io::load_index`] or the
-    /// concrete type's `load`. Indexes without a persistent form return
+    /// [`crate::io`]); reload via [`crate::io::load_index`] or
+    /// [`GraphIndex::load`](crate::GraphIndex::load). Indexes without a
+    /// persistent form return
     /// [`std::io::ErrorKind::Unsupported`].
     fn save_index(&self, _path: &std::path::Path) -> std::io::Result<()> {
         Err(std::io::Error::new(
@@ -242,7 +246,7 @@ pub trait AnnIndex<T: VectorElem>: Sync {
 }
 
 /// A pool of reusable working state (`S` is a
-/// [`SearchScratch`](crate::beam::SearchScratch), or a baseline's
+/// [`SearchScratch`], or a baseline's
 /// equivalent). Every index owns one: `search` borrows a scratch for the
 /// duration of one query and returns it, so a batch running on `t` workers
 /// settles at `t` scratches and allocates nothing further.

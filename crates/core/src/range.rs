@@ -136,27 +136,6 @@ pub fn range_search<T: VectorElem, G: GraphView>(
     (results, stats)
 }
 
-impl<T: VectorElem> crate::diskann::VamanaIndex<T> {
-    /// Range search from the index's start point (see [`range_search`]).
-    pub fn range_search(
-        &self,
-        query: &[T],
-        params: &RangeParams,
-    ) -> (Vec<(u32, f32)>, SearchStats) {
-        self.scratch.with(|scratch| {
-            range_search(
-                scratch,
-                query,
-                self.points(),
-                self.metric,
-                &self.graph,
-                &[self.start],
-                params,
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,7 +97,7 @@ const PREFETCH_AHEAD: usize = 2;
 ///
 /// This is the batched hot path for beam-search frontier expansion and
 /// build-time pruning: while candidate `j` is being scored, the rows of
-/// candidates `j+1..j+1+`[`PREFETCH_AHEAD`] are software-prefetched, hiding
+/// candidates `j+1..j+1+PREFETCH_AHEAD` are software-prefetched, hiding
 /// the cache misses that dominate graph traversal over large point sets
 /// (paper §4.5).
 ///

@@ -7,7 +7,7 @@
 //!
 //! * [`PointSet`] — flat, cache-friendly storage of `n × d` vectors with the
 //!   element types the paper uses (`u8`, `i8`, `f32`);
-//! * [`distance`] — the paper's metrics (squared Euclidean for
+//! * [`distance`](mod@distance) — the paper's metrics (squared Euclidean for
 //!   BIGANN/MSSPACEV, negative inner product for TEXT2IMAGE, plus cosine),
 //!   including the batched, prefetching [`distance_batch`] hot path;
 //! * [`simd`] — the runtime-dispatched AVX2/SSE2/scalar kernels behind

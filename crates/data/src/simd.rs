@@ -11,7 +11,7 @@
 //!   variable `PARLAYANN_SIMD` (`scalar` / `sse2` / `avx2` / `avx512` /
 //!   `auto`) can cap the tier for A/B testing — an unrecognized value is
 //!   rejected with a warning, not silently treated as `auto`. All callers
-//!   go through the safe [`crate::distance`] API — no caller ever touches
+//!   go through the safe [`crate::distance`](mod@crate::distance) API — no caller ever touches
 //!   an intrinsic. The per-tier kernels themselves are exported under
 //!   [`x86`] so benchmarks and equivalence tests can pin a tier
 //!   explicitly (guarded by their own feature detection).
@@ -618,7 +618,7 @@ pub mod x86 {
         //!   512-bit accumulator whose lanes 0–7 receive exactly the adds
         //!   AVX2's accumulator 0 performs (block elements 0..8) and lanes
         //!   8–15 exactly accumulator 1's (elements 8..16), multiply+add
-        //!   with no FMA contraction, reduced by [`reduce_f32_avx2_order`]
+        //!   with no FMA contraction, reduced by `reduce_f32_avx2_order`
         //!   — the AVX2 reduction verbatim.
         //! * The integer kernels are exact (as everywhere): the `_bw`
         //!   steps widen to i16 and `vpmaddwd` into i32 lanes like AVX2;

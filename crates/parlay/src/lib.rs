@@ -13,12 +13,12 @@
 //! The primitives:
 //!
 //! * [`tabulate`], [`map`], [`for_each_index`] — flat data parallelism.
-//! * [`scan`], [`scan_inclusive`] — blocked two-pass prefix sums with a
+//! * [`scan`](fn@scan), [`scan_inclusive`] — blocked two-pass prefix sums with a
 //!   *fixed* block structure, so floating-point results are schedule-independent.
-//! * [`pack`], [`filter`], [`split_by`] — stable parallel packing.
-//! * [`sort`] — parallel *stable* merge sort (unique output ⇒ deterministic).
+//! * [`pack`](fn@pack), [`filter`], [`split_by`] — stable parallel packing.
+//! * [`sort`](fn@sort) — parallel *stable* merge sort (unique output ⇒ deterministic).
 //! * [`counting_sort`] — stable blocked counting sort for small integer keys.
-//! * [`semisort`] — groups equal keys consecutively (paper §2), the
+//! * [`semisort`](fn@semisort) — groups equal keys consecutively (paper §2), the
 //!   workhorse behind lock-free reverse-edge merging (paper §3.1).
 //! * [`group_by_u32`] — grouped view built on the semisort.
 //! * [`random`] — splittable hash-based RNG (`parlay::random` equivalent);

@@ -78,8 +78,8 @@ impl<R: Deadlined> Coalescer<R> {
         Self::with_capacity(max_block, 0)
     }
 
-    /// [`new`](Self::new) with an admission bound: [`try_push`]
-    /// (Self::try_push) refuses requests once `capacity` are pending
+    /// [`new`](Self::new) with an admission bound:
+    /// [`try_push`](Self::try_push) refuses requests once `capacity` are pending
     /// (0 = unbounded). Overload is then shed at the queue's edge
     /// instead of being absorbed into unbounded tail latency.
     pub fn with_capacity(max_block: usize, capacity: usize) -> Self {

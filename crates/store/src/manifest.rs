@@ -36,7 +36,7 @@
 //!
 //! Version 2 appended the **codebook section**: the shard-centroid
 //! matrix a k-means store routes with (see
-//! [`ShardCodebook`](crate::ShardCodebook)), one `f32` row per retained
+//! [`ShardCodebook`]), one `f32` row per retained
 //! shard slot, guarded by its own FNV-1a checksum. Version-1 manifests
 //! (no section) still load — they come back without a codebook and
 //! simply route with full fan-out. [`Routing`](crate::Routing) itself is

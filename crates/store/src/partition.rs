@@ -142,7 +142,7 @@ const ASSIGN_CHUNK: usize = 4096;
 /// keep the codebook for routing. Training is parallel (and
 /// deterministic); the capacity-constrained assignment pass is sequential
 /// in id order, which is exactly what makes it a pure function of the
-/// input. Ranking happens per [`ASSIGN_CHUNK`]-point chunk (parallel
+/// input. Ranking happens per `ASSIGN_CHUNK`-point chunk (parallel
 /// within the chunk, chunks in order), so memory stays O(chunk · shards)
 /// however large the corpus.
 pub fn balanced_kmeans_assign<T: VectorElem>(
@@ -196,7 +196,7 @@ pub fn shard_members(assignment: &[u32], shards: usize) -> Vec<Vec<u32>> {
 ///
 /// Ranking is always squared-L2 against the widened query — the space the
 /// k-means codebook was trained in — regardless of the metric the shard
-/// indexes search with. Distances go through [`ann_data::distance`], so
+/// indexes search with. Distances go through [`ann_data::distance`](fn@ann_data::distance), so
 /// they take the same SIMD dispatch as every other kernel in the tree and
 /// are bit-identical at any thread count.
 #[derive(Clone, Debug, PartialEq)]

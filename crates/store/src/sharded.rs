@@ -4,7 +4,7 @@
 //!
 //! A [`ShardedIndex`] owns `N` shards, each an `Arc<dyn AnnIndex>` over a
 //! disjoint slice of the corpus plus the local→global id map produced by
-//! the [`Partitioner`](crate::Partitioner). It implements [`AnnIndex`]
+//! the [`Partitioner`]. It implements [`AnnIndex`]
 //! itself, so everything that serves, benches, or persists a single index
 //! works unchanged on a sharded one — including in-memory nesting (a
 //! shard may itself be sharded; persistence requires one level — see
@@ -740,7 +740,7 @@ impl<T: VectorElem> AnnIndex<T> for ShardedIndex<T> {
     /// Batched fan-out: without routing, each shard runs the whole query
     /// set through its own batch-parallel `search_batch`; with routing,
     /// queries are routed first and grouped into per-shard sub-batches
-    /// ([`routed_batch`](Self::routed_batch)). Per-query merges run in
+    /// (`routed_batch`). Per-query merges run in
     /// parallel either way. This is also the serving path: the server's
     /// workers call it, so the fan-out happens **inside** a dispatched
     /// batch.

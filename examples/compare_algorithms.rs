@@ -55,7 +55,7 @@ fn main() {
         &PyNNDescentParams::default(),
     );
     entries.push(Entry {
-        name: format!("ParlayPyNN ({} rounds)", p.rounds),
+        name: format!("ParlayPyNN (deg {:.1})", p.graph.avg_degree()),
         build_secs: t.elapsed().as_secs_f64(),
         index: Box::new(p),
     });

@@ -348,7 +348,7 @@ pub mod collection {
     use crate::test_runner::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification accepted by [`vec`]: a fixed `usize` or a range.
+    /// Length specification accepted by [`vec`](fn@vec): a fixed `usize` or a range.
     pub trait IntoSizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut Rng) -> usize;

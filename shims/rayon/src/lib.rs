@@ -12,7 +12,7 @@
 //!   (the first closure's panic wins).
 //! * **Workers & stealing** — per-worker mutex-protected deques (LIFO local
 //!   pop, FIFO steal), an injector queue for external threads, and
-//!   spin-then-nap idling. See [`registry`](crate::registry) docs.
+//!   spin-then-nap idling. See the `registry` module docs.
 //! * **[`iter`]** — indexed parallel iterators (`par_iter`, `into_par_iter`
 //!   over ranges, `par_chunks`, `map`/`enumerate`/`zip`/`with_min_len`/
 //!   `flat_map_iter`, `for_each`/`collect`/`sum`) whose split tree is a

@@ -12,8 +12,15 @@
 //! The SIMD tier is fixed once per process, so the tier axis re-runs this
 //! test binary as a child process per tier and compares what the children
 //! print.
+//!
+//! Each flat-graph family's *graph* is pinned too: the three builders
+//! differ only in construction, so a constant per family is what proves a
+//! refactor of them still builds the same graph, bit for bit.
 
-use parlayann_suite::core::{AnnIndex, QueryParams, SearchStats, VamanaIndex, VamanaParams};
+use parlayann_suite::core::{
+    AnnIndex, HcnngIndex, HcnngParams, PyNNDescentIndex, PyNNDescentParams, QueryParams,
+    SearchStats, VamanaIndex, VamanaParams,
+};
 use parlayann_suite::data::bigann_like;
 use std::process::Command;
 
@@ -45,6 +52,23 @@ fn fingerprint_is_equal_at_1_and_8_threads() {
     let one = fingerprint(1);
     assert_eq!(one, fingerprint(8), "1 vs 8 threads");
     println!("FINGERPRINT 0x{one:016x}");
+}
+
+/// `FlatGraph::fingerprint` of each family's default-parameter build over
+/// the same corpus; equal at 1 and 8 threads and under every SIMD tier.
+#[test]
+fn each_family_builds_its_pinned_graph() {
+    let data = bigann_like(3_000, 200, 42);
+    let vamana = VamanaIndex::build(data.points.clone(), data.metric, &VamanaParams::default());
+    assert_eq!(vamana.graph.fingerprint(), 0xcf775104d2e6d027, "Vamana");
+    let hcnng = HcnngIndex::build(data.points.clone(), data.metric, &HcnngParams::default());
+    assert_eq!(hcnng.graph.fingerprint(), 0xb32f8aaf23bf6922, "HCNNG");
+    let pynn = PyNNDescentIndex::build(
+        data.points.clone(),
+        data.metric,
+        &PyNNDescentParams::default(),
+    );
+    assert_eq!(pynn.graph.fingerprint(), 0x25933aadcb42a785, "PyNNDescent");
 }
 
 #[test]

@@ -51,7 +51,7 @@ proptest! {
             }
         }
         // Start point is a valid id.
-        prop_assert!((index.start as usize) < points.len());
+        prop_assert!((index.starts[0] as usize) < points.len());
     }
 
     #[test]
