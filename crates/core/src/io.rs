@@ -40,7 +40,7 @@ use crate::graph::FlatGraph;
 use crate::index::GraphIndex;
 use crate::query::{AnnIndex, IndexKind};
 use crate::stats::BuildStats;
-use ann_data::io::BinaryElem;
+use ann_data::io::{within, BinaryElem};
 use ann_data::{Metric, PointSet};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -111,18 +111,6 @@ fn read_u8(r: &mut impl Read) -> io::Result<u8> {
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// `count` as a `usize`, if the product of `count` and `factors` fits in
-/// `len` (the source's byte length) — the guard every header-driven
-/// allocation passes first.
-fn within(len: u64, what: &str, count: u64, factors: &[u64]) -> io::Result<usize> {
-    factors
-        .iter()
-        .try_fold(count, |acc, &f| acc.checked_mul(f))
-        .filter(|&total| total <= len)
-        .and_then(|_| usize::try_from(count).ok())
-        .ok_or_else(|| invalid(format!("{what} ({count}) too large for a {len}-byte file")))
 }
 
 /// Prefixes an error with the file it came from, preserving its kind. A

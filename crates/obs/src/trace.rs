@@ -28,7 +28,7 @@ pub struct Trace {
     pub generation: u64,
     /// Number of queries coalesced into the batch.
     pub batch_size: u32,
-    /// Dispatch trigger: 0 = batch full, 1 = deadline, 2 = drain/manual.
+    /// Dispatch reason: 0 = full block, 1 = idle worker took less, 2 = drain.
     pub reason: u8,
     /// Number of valid entries in `shard_ns`.
     pub shard_spans: u8,

@@ -1,13 +1,13 @@
-//! # parlayann-serve — deadline-batched online serving
+//! # parlayann-serve — work-conserving online serving
 //!
 //! Turns the batch-parallel [`parlayann::AnnIndex::search_batch`] into an
 //! online serving system, LANNS-style: many client threads submit
-//! *single* queries; a coalescer groups them into batches under a dual
-//! trigger — **block full** (batch bound reached) or **deadline** (the
-//! most urgent waiting request's deadline passed: the earliest deadline in
-//! the queue, not necessarily the oldest request's) — and a worker pool
-//! executes each batch as one `search_batch` call: one task per query on
-//! the work-stealing pool, each over a scratch from the index's pool.
+//! *single* queries into one FIFO queue; whenever a worker is idle and the
+//! queue is not empty, that worker takes the oldest `min(len, max_block)`
+//! requests and executes them as one `search_batch` call: one task per
+//! query on the work-stealing pool, each over a scratch from the index's
+//! pool. No request waits for a batch to grow; batches form only from a
+//! backlog, while every worker is busy.
 //!
 //! The ParlayANN determinism guarantee is what makes this layer strictly
 //! testable: batched search is bit-identical to per-query search at any
@@ -16,26 +16,26 @@
 //! matter how requests happen to be coalesced under load. The stress
 //! tests assert exactly that.
 //!
-//! Everything is pure std (threads + channels + condvars): no async
+//! Everything is pure std (threads + mutexes + condvars): no async
 //! runtime is required, matching the workspace's offline-shim policy.
 //!
 //! ## Pieces
 //!
-//! * [`Coalescer`] — the batching decision, free of clocks and threads
-//!   (single-steppable, property-testable).
+//! * [`Coalescer`] — the FIFO queue and its block bound, free of clocks
+//!   and threads (single-steppable, property-testable).
 //! * [`Clock`] / [`WallClock`] / [`ManualClock`] — time sources; manual
-//!   time makes batching decisions reproducible.
+//!   time makes queue waits and budget accounting reproducible.
 //! * [`Server`] — the front-end: `submit(query, k, budget)` →
-//!   [`ResponseHandle`], background coalescer + workers (or the
-//!   deterministic [`Server::pump`] mode), graceful draining shutdown,
-//!   always-on aggregate stats ([`ServerStatsSnapshot`]).
+//!   [`ResponseHandle`], background workers (or the deterministic
+//!   [`Server::pump`] mode), graceful draining shutdown, always-on
+//!   aggregate stats ([`ServerStatsSnapshot`]).
 
 pub mod clock;
 pub mod coalescer;
 pub mod server;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use coalescer::{Coalescer, Deadlined, DispatchReason, Poll};
+pub use coalescer::{Coalescer, DispatchReason};
 pub use server::{
     Rejected, ReloadError, Response, ResponseHandle, Server, ServerConfig, ServerStatsSnapshot,
 };
@@ -99,9 +99,6 @@ mod tests {
         );
         assert_eq!(server.stats().shed, 1);
         // Answering frees capacity; admission resumes.
-        server.pump(); // 3 pending < max_block, but not due yet
-        assert_eq!(server.inflight(), 3);
-        clock.advance(Duration::from_secs(1));
         assert_eq!(server.pump(), 1);
         for h in &handles {
             assert!(h.try_take().is_some());
@@ -189,21 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn manual_deadline_trigger_single_steps() {
+    fn manual_pump_answers_before_the_deadline() {
         let index = tiny_index();
         let clock = Arc::new(ManualClock::new());
         let server = Server::manual(index.clone(), config(8), clock.clone());
         let h = server
             .submit(&[3.2, 4.1], 4, Duration::from_micros(100))
             .unwrap();
-        // Not due yet: pump does nothing at t=0 and just before the deadline.
-        assert_eq!(server.pump(), 0);
-        clock.advance(Duration::from_micros(99));
-        assert_eq!(server.pump(), 0);
-        assert!(h.try_take().is_none());
-        assert_eq!(server.pending(), 1);
-        // At the deadline the batch executes synchronously.
-        clock.advance(Duration::from_micros(1));
+        // The idle worker takes the request at once, 100µs before its
+        // deadline: no waiting for a batch to grow.
         assert_eq!(server.pump(), 1);
         let resp = h.try_take().expect("response after pump");
         let direct = index.search(
@@ -216,8 +207,19 @@ mod tests {
         );
         assert_eq!(resp.neighbors, direct.0);
         assert_eq!(resp.batch_size, 1);
-        assert_eq!(resp.reason, DispatchReason::Deadline);
-        assert_eq!(resp.queue_ns, 100_000);
+        assert_eq!(resp.reason, DispatchReason::Idle);
+        assert_eq!(resp.queue_ns, 0);
+        assert_eq!(server.stats().deadline_batches, 0);
+        // A request that waits past its budget is still answered, and its
+        // batch is counted as an overrun; the clock stamps the wait exactly.
+        let late = server
+            .submit(&[3.2, 4.1], 4, Duration::from_micros(100))
+            .unwrap();
+        clock.advance(Duration::from_micros(101));
+        assert_eq!(server.pump(), 1);
+        assert_eq!(late.try_take().expect("answered").queue_ns, 101_000);
+        let stats = server.stats();
+        assert_eq!((stats.idle_batches, stats.deadline_batches), (2, 1));
     }
 
     #[test]
@@ -232,17 +234,18 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        // 7 pending, block bound 3: two full batches are due, one request
-        // keeps waiting on its (distant) deadline.
-        assert_eq!(server.pump(), 2);
-        assert_eq!(server.pending(), 1);
-        let ready: Vec<_> = handles.iter().map(|h| h.try_take()).collect();
-        assert_eq!(ready.iter().filter(|r| r.is_some()).count(), 6);
-        assert!(ready[6].is_none());
-        for r in ready.into_iter().flatten() {
+        // 7 pending, block bound 3: two full batches, then the idle
+        // worker takes the remaining one without waiting on its (distant)
+        // deadline.
+        assert_eq!(server.pump(), 3);
+        assert_eq!(server.pending(), 0);
+        let ready: Vec<_> = handles.iter().map(|h| h.try_take().unwrap()).collect();
+        for r in &ready[..6] {
             assert_eq!(r.batch_size, 3);
             assert_eq!(r.reason, DispatchReason::Full);
         }
+        assert_eq!(ready[6].batch_size, 1);
+        assert_eq!(ready[6].reason, DispatchReason::Idle);
     }
 
     #[test]

@@ -1,30 +1,29 @@
-//! The serving front-end: threads + channels around the coalescer.
+//! The serving front-end: worker threads around the request queue.
 //!
 //! ```text
-//!  clients                server                            index
-//!  ───────                ──────                            ─────
-//!  submit(q,k,budget) ──► Coalescer (FIFO, dual trigger) ─► worker: assemble
-//!        │                  │  full → dispatch               PointSet, run
-//!        ▼                  │  deadline → dispatch            search_batch
-//!  ResponseHandle ◄──────── └─ row i of batch → request i ◄─ (one task per
-//!        .wait()                                               query)
+//!  clients                server                         index
+//!  ───────                ──────                         ─────
+//!  submit(q,k,budget) ──► Coalescer (FIFO) ──► idle worker takes the oldest
+//!        │                  notify_one          min(len, max_block): assemble
+//!        ▼                                      PointSet, run search_batch
+//!  ResponseHandle ◄──────── row i of batch → request i   (one task per query)
+//!        .wait()
 //! ```
 //!
-//! Pure std: the submit queue is a mutex-protected [`Coalescer`] with a
-//! condvar, dispatch is an mpsc channel drained by a small pool of worker
-//! threads, and each response travels back through the one-shot slot
-//! inside its [`ResponseHandle`]. Determinism inherits from the index:
-//! whatever batches the coalescer happens to form, every response is
-//! bit-identical to a direct [`AnnIndex::search_batch`] of the same query
-//! — batching changes latency, never results.
+//! Pure std: the queue is a mutex-protected [`Coalescer`]; workers wait on
+//! one condvar, and whenever a worker is idle and the queue is not empty,
+//! that worker takes the next batch. Each response travels back through
+//! the one-shot slot inside its [`ResponseHandle`]. Determinism inherits
+//! from the index: whatever batches the workers happen to take, every
+//! response is bit-identical to a direct [`AnnIndex::search_batch`] of the
+//! same query — batching changes latency, never results.
 
 use crate::clock::{Clock, ManualClock, WallClock};
-use crate::coalescer::{Coalescer, Deadlined, DispatchReason, Poll};
+use crate::coalescer::{Coalescer, DispatchReason};
 use ann_data::{PointSet, VectorElem};
 use parlayann::{AnnIndex, QueryParams, SearchStats};
 use parlayann_obs::{Counter, Gauge, Histogram, Obs, Trace};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,13 +32,13 @@ use std::time::{Duration, Instant};
 mod metric_names {
     /// Histogram: submit → reply server-side latency per request, ns.
     pub const REQUEST_NS: &str = "parlayann_serve_request_ns";
-    /// Histogram: submit → dispatch coalescer wait per request, ns.
+    /// Histogram: submit → dispatch queue wait per request, ns.
     pub const QUEUE_WAIT_NS: &str = "parlayann_serve_queue_wait_ns";
     /// Histogram: batch execution wall time, ns.
     pub const BATCH_SERVICE_NS: &str = "parlayann_serve_batch_service_ns";
     /// Histogram: requests per executed batch.
     pub const BATCH_SIZE: &str = "parlayann_serve_batch_size";
-    /// Histogram: coalescer depth sampled at each admit.
+    /// Histogram: queue depth sampled at each admit.
     pub const QUEUE_DEPTH: &str = "parlayann_serve_queue_depth";
     /// Histogram: budget remaining at dispatch per request, ns.
     pub const DEADLINE_SLACK_NS: &str = "parlayann_serve_deadline_slack_ns";
@@ -52,7 +51,8 @@ pub struct ServerConfig {
     /// clamped to `params.k` (the block runs at the server's beam/k; the
     /// response is truncated per request).
     pub params: QueryParams,
-    /// Coalescer batch bound (the "block full" trigger); 16 by default.
+    /// The most requests one worker takes off the queue at once; 16 by
+    /// default. Batches reach it only under backlog.
     pub max_block: usize,
     /// Dispatch worker threads. Each worker runs whole batches through
     /// the index's `search_batch` (which is itself parallel over the
@@ -173,7 +173,7 @@ pub struct Response {
     pub batch_size: usize,
     /// What triggered the batch.
     pub reason: DispatchReason,
-    /// Nanoseconds this request waited in the coalescer before dispatch.
+    /// Nanoseconds this request waited in the queue before dispatch.
     pub queue_ns: u64,
     /// Which index snapshot answered (0 until the first
     /// [`Server::reload`]; each reload increments it). A batch executes
@@ -246,8 +246,8 @@ impl std::fmt::Debug for ResponseHandle {
 
 impl ResponseHandle {
     /// Blocks until the response arrives. Every submitted request is
-    /// answered — batches are dispatched by full/deadline triggers while
-    /// the server runs, and shutdown drains the queue.
+    /// answered — an idle worker takes the queue while the server runs,
+    /// and shutdown drains it.
     ///
     /// # Panics
     ///
@@ -285,14 +285,10 @@ struct Pending<T> {
     query: Box<[T]>,
     k: usize,
     submit_ns: u64,
+    /// `submit_ns` + budget: the batch counts as a budget overrun if it
+    /// leaves later than this.
     deadline_ns: u64,
     slot: Arc<Slot>,
-}
-
-impl<T> Deadlined for Pending<T> {
-    fn deadline_ns(&self) -> u64 {
-        self.deadline_ns
-    }
 }
 
 /// A dispatched batch on its way to a worker.
@@ -313,8 +309,9 @@ struct ServerStats {
     completed: AtomicU64,
     batches: AtomicU64,
     full_batches: AtomicU64,
-    deadline_batches: AtomicU64,
+    idle_batches: AtomicU64,
     drain_batches: AtomicU64,
+    deadline_batches: AtomicU64,
     queue_ns_total: AtomicU64,
     max_batch: AtomicU64,
     shed: AtomicU64,
@@ -324,13 +321,19 @@ struct ServerStats {
 }
 
 impl ServerStats {
-    /// The batch counter for dispatch trigger `reason`.
-    fn by_reason(&self, reason: DispatchReason) -> &AtomicU64 {
+    /// Counts one executed batch of `size` requests; `overrun` when it left
+    /// with a request already past its deadline.
+    fn count_batch(&self, reason: DispatchReason, size: usize, overrun: bool) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
         match reason {
             DispatchReason::Full => &self.full_batches,
-            DispatchReason::Deadline => &self.deadline_batches,
+            DispatchReason::Idle => &self.idle_batches,
             DispatchReason::Drain => &self.drain_batches,
         }
+        .fetch_add(1, Ordering::Relaxed);
+        self.deadline_batches
+            .fetch_add(overrun as u64, Ordering::Relaxed);
+        self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -341,15 +344,17 @@ pub struct ServerStatsSnapshot {
     pub submitted: u64,
     /// Requests answered.
     pub completed: u64,
-    /// Batches executed.
+    /// Batches executed: `full_batches + idle_batches + drain_batches`.
     pub batches: u64,
-    /// Batches dispatched because they were full.
+    /// Batches of a whole `max_block`, taken from a backlog.
     pub full_batches: u64,
-    /// Batches dispatched because the most urgent pending request's
-    /// deadline arrived.
-    pub deadline_batches: u64,
+    /// Batches a free worker took below `max_block`.
+    pub idle_batches: u64,
     /// Batches dispatched while draining at shutdown.
     pub drain_batches: u64,
+    /// Budget overruns: batches, of any reason, that left with a request
+    /// already past its deadline (submit time + budget).
+    pub deadline_batches: u64,
     /// Total nanoseconds requests spent queued before dispatch.
     pub queue_ns_total: u64,
     /// Largest batch executed.
@@ -440,7 +445,7 @@ struct ServeMetrics {
     failovers: Arc<Counter>,
     isolated: Arc<Counter>,
     batches_full: Arc<Counter>,
-    batches_deadline: Arc<Counter>,
+    batches_idle: Arc<Counter>,
     batches_drain: Arc<Counter>,
     inflight: Arc<Gauge>,
     queue_wait_ns: Arc<Histogram>,
@@ -489,7 +494,7 @@ impl ServeMetrics {
                 "Requests that failed individually after a batch panic",
             ),
             batches_full: trigger("full"),
-            batches_deadline: trigger("deadline"),
+            batches_idle: trigger("idle"),
             batches_drain: trigger("drain"),
             inflight: r.gauge(
                 "parlayann_serve_inflight",
@@ -499,7 +504,7 @@ impl ServeMetrics {
             queue_wait_ns: r.histogram(
                 metric_names::QUEUE_WAIT_NS,
                 &[],
-                "Submit-to-dispatch coalescer wait per request (ns)",
+                "Submit-to-dispatch queue wait per request (ns)",
             ),
             service_ns: r.histogram(
                 metric_names::BATCH_SERVICE_NS,
@@ -515,7 +520,7 @@ impl ServeMetrics {
             queue_depth: r.histogram(
                 metric_names::QUEUE_DEPTH,
                 &[],
-                "Coalescer depth sampled at each admit",
+                "Queue depth sampled at each admit",
             ),
             deadline_slack_ns: r.histogram(
                 metric_names::DEADLINE_SLACK_NS,
@@ -528,13 +533,13 @@ impl ServeMetrics {
     fn batch_trigger(&self, reason: DispatchReason) -> &Counter {
         match reason {
             DispatchReason::Full => &self.batches_full,
-            DispatchReason::Deadline => &self.batches_deadline,
+            DispatchReason::Idle => &self.batches_idle,
             DispatchReason::Drain => &self.batches_drain,
         }
     }
 }
 
-/// Everything the submit path, coalescer thread, and workers share.
+/// Everything the submit path and the workers share.
 struct Shared<T: VectorElem> {
     index: Mutex<CurrentIndex<T>>,
     params: QueryParams,
@@ -542,22 +547,17 @@ struct Shared<T: VectorElem> {
     /// index types whose `stats()` does not report it).
     dim: AtomicUsize,
     clock: Arc<dyn Clock>,
-    /// Whether `clock` is the wall clock: wall naps can run exactly to
-    /// the next deadline (a nanosecond there is a nanosecond of sleep);
-    /// other clocks advance out of band, so naps are capped at
-    /// [`Server::MAX_NAP`] to observe them promptly.
-    wall: bool,
     stats: ServerStats,
     state: Mutex<SubmitState<T>>,
+    /// Idle workers wait here: `submit` wakes one, `shutdown` all.
     cv: Condvar,
     /// Admission bound ([`ServerConfig::max_queue`]; 0 = unbounded).
     max_queue: usize,
     /// Batch bound (for the projected-wait estimate).
     max_block: usize,
     /// Requests inside the server: admitted but not yet answered/failed.
-    /// This — not the coalescer queue alone — is what `max_queue`
-    /// bounds: under overload the backlog lives in the dispatch channel,
-    /// so bounding only the coalescer would bound nothing.
+    /// This — not the queue alone — is what `max_queue` bounds: requests
+    /// a worker has taken still occupy the server until answered.
     inflight: AtomicUsize,
     /// EWMA batch service time in ns (0 until measured; stays 0 under a
     /// manual clock, which disables the projected-wait shed and keeps
@@ -576,91 +576,57 @@ impl<T: VectorElem> Shared<T> {
     }
 }
 
-/// The deadline-batched serving front-end over one [`AnnIndex`].
+/// The work-conserving serving front-end over one [`AnnIndex`].
 ///
 /// Two modes:
 ///
-/// * [`Server::start`] — production: a background coalescer thread forms
-///   batches under the dual trigger and a worker pool executes them;
+/// * [`Server::start`] — production: a pool of worker threads; whenever a
+///   worker is idle and the queue is not empty, it takes the oldest
+///   `min(len, max_block)` requests and executes them as one batch.
 ///   [`ResponseHandle::wait`] blocks until the answer arrives.
 /// * [`Server::manual`] — deterministic test mode: no background threads;
-///   the caller owns a [`ManualClock`] and advances batching explicitly
-///   with [`Server::pump`], which executes due batches synchronously on
-///   the calling thread. Identical coalescer, identical search path —
-///   batching decisions become a pure function of (submits, clock
-///   advances, pumps).
+///   the caller plays the one idle worker, executing everything queued
+///   with [`Server::pump`], synchronously on the calling thread, and owns
+///   the [`ManualClock`] that stamps queue waits. Identical queue,
+///   identical search path — batches become a pure function of (submits,
+///   clock advances, pumps).
 pub struct Server<T: VectorElem> {
     shared: Arc<Shared<T>>,
-    coalescer: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     manual: bool,
 }
 
 impl<T: VectorElem> Server<T> {
-    /// Starts a production server (wall clock, background threads).
+    /// Starts a production server (wall clock, background workers).
     pub fn start(index: Arc<dyn AnnIndex<T> + Send + Sync>, config: ServerConfig) -> Self {
-        Self::start_threaded(index, config, Arc::new(WallClock::new()), true)
-    }
-
-    /// [`start`](Self::start) with an explicit time source. With a
-    /// non-wall clock the coalescer re-polls at least every
-    /// [`MAX_NAP`](Self::MAX_NAP) while requests are pending, so advancing
-    /// such a clock is observed promptly; for fully deterministic batching
-    /// use [`manual`](Self::manual) instead.
-    pub fn start_with_clock(
-        index: Arc<dyn AnnIndex<T> + Send + Sync>,
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        Self::start_threaded(index, config, clock, false)
-    }
-
-    fn start_threaded(
-        index: Arc<dyn AnnIndex<T> + Send + Sync>,
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-        wall: bool,
-    ) -> Self {
-        let shared = Self::make_shared(index, &config, clock, wall);
-        let (tx, rx) = channel::<Batch<T>>();
-        let rx = Arc::new(Mutex::new(rx));
+        let shared = Self::make_shared(index, &config, Arc::new(WallClock::new()));
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("parlayann-serve-worker-{i}"))
-                    .spawn(move || run_worker(shared, rx))
+                    .spawn(move || run_worker(&shared))
                     .expect("failed to spawn serve worker")
             })
             .collect();
-        let coalescer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("parlayann-serve-coalescer".into())
-                .spawn(move || run_coalescer(shared, tx))
-                .expect("failed to spawn serve coalescer")
-        };
         Server {
             shared,
-            coalescer: Some(coalescer),
             workers,
             manual: false,
         }
     }
 
-    /// Starts a deterministic server: no background threads, batching
-    /// advances only through [`pump`](Self::pump) against the given
-    /// manual clock.
+    /// Starts a deterministic server: no background threads, requests are
+    /// executed only by [`pump`](Self::pump), and the given manual clock
+    /// stamps their queue waits.
     pub fn manual(
         index: Arc<dyn AnnIndex<T> + Send + Sync>,
         config: ServerConfig,
         clock: Arc<ManualClock>,
     ) -> Self {
-        let shared = Self::make_shared(index, &config, clock, false);
+        let shared = Self::make_shared(index, &config, clock);
         Server {
             shared,
-            coalescer: None,
             workers: Vec::new(),
             manual: true,
         }
@@ -670,7 +636,6 @@ impl<T: VectorElem> Server<T> {
         index: Arc<dyn AnnIndex<T> + Send + Sync>,
         config: &ServerConfig,
         clock: Arc<dyn Clock>,
-        wall: bool,
     ) -> Arc<Shared<T>> {
         let dim = index.dim();
         let obs_src = match &config.obs {
@@ -689,10 +654,9 @@ impl<T: VectorElem> Server<T> {
             params: config.params,
             dim: AtomicUsize::new(dim),
             clock,
-            wall,
             stats: ServerStats::default(),
             state: Mutex::new(SubmitState {
-                coal: Coalescer::with_capacity(config.max_block, config.max_queue),
+                coal: Coalescer::new(config.max_block),
                 accepting: true,
             }),
             cv: Condvar::new(),
@@ -705,23 +669,23 @@ impl<T: VectorElem> Server<T> {
         })
     }
 
-    /// Longest the coalescer thread naps before re-reading a **non-wall**
-    /// clock while requests are pending, so out-of-band clock advances
-    /// are observed promptly. Wall-clock servers are not capped: they
-    /// sleep exactly until the next pending deadline (and any submit
-    /// wakes the condvar early).
-    pub const MAX_NAP: Duration = Duration::from_millis(5);
-
     /// Submits one query with a per-request result count (clamped to the
-    /// server's `params.k`) and a latency budget: the request is
-    /// guaranteed to be dispatched once `budget` has elapsed, sooner if a
-    /// full batch forms around it.
+    /// server's `params.k`) and a latency budget.
     ///
-    /// With [`ServerConfig::max_queue`] set, admission control may refuse
-    /// the request with [`Rejected::Shed`] — when the in-flight bound is
-    /// reached, or when the measured batch service time projects a queue
-    /// wait already past `budget` (fast-fail: better to tell the caller
-    /// now than to answer hopelessly late).
+    /// The request is dispatched as soon as a worker is free; nothing waits
+    /// for a batch to grow. `budget` is never a delay. It is an admission
+    /// bound and an account:
+    ///
+    /// * with [`ServerConfig::max_queue`] set, admission control refuses
+    ///   the request with [`Rejected::Shed`] when the in-flight bound is
+    ///   reached, or when the measured batch service time projects a queue
+    ///   wait already past `budget` (fast-fail: better to tell the caller
+    ///   now than to answer hopelessly late);
+    /// * a batch that leaves with a request past its deadline (its submit
+    ///   time plus `budget`) counts as an overrun in
+    ///   [`ServerStatsSnapshot::deadline_batches`];
+    /// * the budget left at dispatch is recorded per request in the
+    ///   `parlayann_serve_deadline_slack_ns` histogram.
     pub fn submit(
         &self,
         query: &[T],
@@ -790,41 +754,41 @@ impl<T: VectorElem> Server<T> {
             m.inflight
                 .set(self.shared.inflight.load(Ordering::Relaxed) as i64);
         }
-        // Wake the coalescer: a full block may have formed, or this
-        // request's deadline may now be the nearest wake-up.
-        self.shared.cv.notify_all();
+        // The push happened under the state lock, so a worker either saw
+        // it before waiting or is waiting now and gets this wake-up.
+        self.shared.cv.notify_one();
         Ok(ResponseHandle { slot })
     }
 
-    /// Manual mode: runs every batch that is due at the clock's current
-    /// time, synchronously, and returns how many batches executed.
-    /// (Also works on a threaded server — it simply races the background
-    /// coalescer — but its purpose is single-stepping.)
+    /// Manual mode: plays the one idle worker, executing everything queued
+    /// in FIFO batches of at most `max_block`, synchronously, and returns
+    /// how many batches executed. (Also works on a threaded server — it
+    /// simply races the workers — but its purpose is single-stepping.)
     pub fn pump(&self) -> usize {
         let mut executed = 0;
         let mut assembly = None;
         loop {
-            let now = self.shared.clock.now_ns();
-            let decision = self.shared.lock_state().coal.poll(now);
-            match decision {
-                Poll::Dispatch(reason, reqs) => {
-                    execute_batch(
-                        &self.shared,
-                        &mut assembly,
-                        Batch {
-                            reqs,
-                            reason,
-                            dispatch_ns: now,
-                        },
-                    );
-                    executed += 1;
-                }
-                Poll::WaitUntil(_) | Poll::Idle => return executed,
-            }
+            // A statement of its own, so the state lock is released
+            // before the batch executes.
+            let taken = self.shared.lock_state().coal.take();
+            let Some((reason, reqs)) = taken else {
+                return executed;
+            };
+            let dispatch_ns = self.shared.clock.now_ns();
+            execute_batch(
+                &self.shared,
+                &mut assembly,
+                Batch {
+                    reqs,
+                    reason,
+                    dispatch_ns,
+                },
+            );
+            executed += 1;
         }
     }
 
-    /// Number of requests currently waiting in the coalescer.
+    /// Number of requests currently waiting in the queue.
     pub fn pending(&self) -> usize {
         self.shared.lock_state().coal.len()
     }
@@ -894,8 +858,9 @@ impl<T: VectorElem> Server<T> {
             completed: s.completed.load(Ordering::Relaxed),
             batches: s.batches.load(Ordering::Relaxed),
             full_batches: s.full_batches.load(Ordering::Relaxed),
-            deadline_batches: s.deadline_batches.load(Ordering::Relaxed),
+            idle_batches: s.idle_batches.load(Ordering::Relaxed),
             drain_batches: s.drain_batches.load(Ordering::Relaxed),
+            deadline_batches: s.deadline_batches.load(Ordering::Relaxed),
             queue_ns_total: s.queue_ns_total.load(Ordering::Relaxed),
             max_batch: s.max_batch.load(Ordering::Relaxed),
             shed: s.shed.load(Ordering::Relaxed),
@@ -936,8 +901,7 @@ impl<T: VectorElem> Server<T> {
     pub fn shutdown(&mut self) {
         {
             let mut st = self.shared.lock_state();
-            if !st.accepting && self.coalescer.is_none() && self.workers.is_empty() && !self.manual
-            {
+            if !st.accepting && self.workers.is_empty() && !self.manual {
                 return;
             }
             st.accepting = false;
@@ -959,9 +923,6 @@ impl<T: VectorElem> Server<T> {
                 );
             }
         }
-        if let Some(h) = self.coalescer.take() {
-            let _ = h.join();
-        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -974,66 +935,36 @@ impl<T: VectorElem> Drop for Server<T> {
     }
 }
 
-/// The coalescer thread: sleep until the next trigger, hand batches to
-/// the worker channel, drain on shutdown, then close the channel (which
-/// stops the workers).
-fn run_coalescer<T: VectorElem>(shared: Arc<Shared<T>>, tx: Sender<Batch<T>>) {
+/// A dispatch worker: whenever the queue is not empty, take the next
+/// batch and execute it; otherwise wait on the condvar. Once shutdown has
+/// begun, batches leave as [`DispatchReason::Drain`] and the worker exits
+/// when the queue is empty. One assembly buffer is kept across batches.
+fn run_worker<T: VectorElem>(shared: &Shared<T>) {
+    let mut assembly = None;
     let mut st = shared.lock_state();
     loop {
-        if !st.accepting {
-            let batches = st.coal.drain_all();
+        if let Some((reason, reqs)) = st.coal.take() {
+            let reason = if st.accepting {
+                reason
+            } else {
+                DispatchReason::Drain
+            };
             drop(st);
-            for reqs in batches {
-                let dispatch_ns = shared.clock.now_ns();
-                let _ = tx.send(Batch {
-                    reqs,
-                    reason: DispatchReason::Drain,
-                    dispatch_ns,
-                });
-            }
-            // Dropping `tx` closes the channel; workers exit after the
-            // drained batches are executed.
-            return;
-        }
-        let now = shared.clock.now_ns();
-        match st.coal.poll(now) {
-            Poll::Dispatch(reason, reqs) => {
-                drop(st);
-                let dispatch_ns = shared.clock.now_ns();
-                let _ = tx.send(Batch {
+            let dispatch_ns = shared.clock.now_ns();
+            execute_batch(
+                shared,
+                &mut assembly,
+                Batch {
                     reqs,
                     reason,
                     dispatch_ns,
-                });
-                st = shared.lock_state();
-            }
-            Poll::WaitUntil(t) => {
-                let mut nap = Duration::from_nanos(t.saturating_sub(now));
-                if !shared.wall {
-                    nap = nap.min(Server::<T>::MAX_NAP);
-                }
-                let (g, _) = shared
-                    .cv
-                    .wait_timeout(st, nap)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = g;
-            }
-            Poll::Idle => {
-                st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-    }
-}
-
-/// A dispatch worker: pull batches off the shared channel until it
-/// closes, keeping one assembly buffer across batches.
-fn run_worker<T: VectorElem>(shared: Arc<Shared<T>>, rx: Arc<Mutex<Receiver<Batch<T>>>>) {
-    let mut assembly = None;
-    loop {
-        let msg = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
-        match msg {
-            Ok(batch) => execute_batch(&shared, &mut assembly, batch),
-            Err(_) => return, // channel closed: shutdown complete
+                },
+            );
+            st = shared.lock_state();
+        } else if !st.accepting {
+            return;
+        } else {
+            st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -1054,6 +985,7 @@ fn execute_batch<T: VectorElem>(
     if reqs.is_empty() {
         return;
     }
+    let overrun = reqs.iter().any(|r| r.deadline_ns < dispatch_ns);
     let dim = reqs[0].query.len();
     match &mut *assembly {
         Some(ps) if ps.dim() == dim => ps.clear(),
@@ -1103,7 +1035,7 @@ fn execute_batch<T: VectorElem>(
         Ok(r) => r,
         Err(_) => {
             *assembly = None; // the buffer may be mid-update; drop it
-            isolate_batch_failure(shared, reqs, reason, dispatch_ns, &current);
+            isolate_batch_failure(shared, reqs, reason, dispatch_ns, overrun, &current);
             return;
         }
     };
@@ -1150,7 +1082,7 @@ fn execute_batch<T: VectorElem>(
                 batch_size: batch_size.min(u32::MAX as usize) as u32,
                 reason: match reason {
                     DispatchReason::Full => 0,
-                    DispatchReason::Deadline => 1,
+                    DispatchReason::Idle => 1,
                     DispatchReason::Drain => 2,
                 },
                 shard_spans: sp.len,
@@ -1182,10 +1114,8 @@ fn execute_batch<T: VectorElem>(
     shared.inflight.fetch_sub(batch_size, Ordering::Relaxed);
     let s = &shared.stats;
     s.completed.fetch_add(batch_size as u64, Ordering::Relaxed);
-    s.batches.fetch_add(1, Ordering::Relaxed);
-    s.by_reason(reason).fetch_add(1, Ordering::Relaxed);
+    s.count_batch(reason, batch_size, overrun);
     s.queue_ns_total.fetch_add(queue_ns_sum, Ordering::Relaxed);
-    s.max_batch.fetch_max(batch_size as u64, Ordering::Relaxed);
     s.degraded.fetch_add(degraded_count, Ordering::Relaxed);
     // Failover work is paid once per batch (every row reports the batch's
     // count), so account it once, not per row.
@@ -1219,6 +1149,7 @@ fn isolate_batch_failure<T: VectorElem>(
     reqs: Vec<Pending<T>>,
     reason: DispatchReason,
     dispatch_ns: u64,
+    overrun: bool,
     current: &CurrentIndex<T>,
 ) {
     let batch_size = reqs.len();
@@ -1258,10 +1189,8 @@ fn isolate_batch_failure<T: VectorElem>(
     shared.inflight.fetch_sub(batch_size, Ordering::Relaxed);
     let s = &shared.stats;
     s.completed.fetch_add(completed, Ordering::Relaxed);
-    s.batches.fetch_add(1, Ordering::Relaxed);
-    s.by_reason(reason).fetch_add(1, Ordering::Relaxed);
+    s.count_batch(reason, batch_size, overrun);
     s.queue_ns_total.fetch_add(queue_ns_sum, Ordering::Relaxed);
-    s.max_batch.fetch_max(batch_size as u64, Ordering::Relaxed);
     s.degraded.fetch_add(degraded_count, Ordering::Relaxed);
     s.failovers.fetch_add(failovers, Ordering::Relaxed);
     s.isolated_failures.fetch_add(failed, Ordering::Relaxed);

@@ -8,7 +8,7 @@
 //! * [`ann_data`] — vectors, distances, datasets, ground truth.
 //! * [`parlayann`] — the four graph-based ANNS algorithms.
 //! * [`ann_baselines`] — IVF/PQ/LSH and lock-based comparators.
-//! * [`parlayann_serve`] — the deadline-batched online serving front-end.
+//! * [`parlayann_serve`] — the work-conserving online serving front-end.
 //! * [`parlayann_store`] — the sharded vector store: multi-shard
 //!   routing, manifest persistence, live snapshot reload.
 //! * [`parlayann_obs`] — observability: metrics registry, latency

@@ -12,9 +12,9 @@
 
 use parlayann_suite::core::{AnnIndex, QueryParams, VamanaIndex, VamanaParams};
 use parlayann_suite::data::bigann_like;
-use parlayann_suite::serve::{Server, ServerConfig};
+use parlayann_suite::serve::{Response, ResponseHandle, Server, ServerConfig};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
 const QUERIES_PER_CLIENT: usize = 1_000;
@@ -125,7 +125,7 @@ fn eight_clients_get_bit_identical_responses() {
     assert!(stats.batches > 0);
     assert!(stats.max_batch <= 16);
     assert_eq!(
-        stats.full_batches + stats.deadline_batches + stats.drain_batches,
+        stats.full_batches + stats.idle_batches + stats.drain_batches,
         stats.batches
     );
 }
@@ -525,6 +525,117 @@ fn shutdown_under_load_answers_every_request() {
     assert_eq!(stats.completed, data.queries.len() as u64);
 }
 
+/// Polls `h` until its response arrives or the wall clock passes `limit`,
+/// so a request nobody executes fails its test instead of hanging it.
+fn take_by(h: &ResponseHandle, limit: Instant) -> Option<Response> {
+    loop {
+        if let Some(r) = h.try_take() {
+            return Some(r);
+        }
+        if Instant::now() > limit {
+            return None;
+        }
+        std::thread::sleep(Duration::from_micros(20));
+    }
+}
+
+/// `budget` is an admission bound, not a delay: a lone request on an idle
+/// threaded server is answered at once, not after its 10 s budget.
+#[test]
+fn idle_server_answers_without_waiting_out_the_budget() {
+    let data = bigann_like(300, 1, 5);
+    let params = QueryParams {
+        k: 5,
+        beam: 16,
+        ..QueryParams::default()
+    };
+    let index = Arc::new(VamanaIndex::build(
+        data.points.clone(),
+        data.metric,
+        &VamanaParams::default(),
+    ));
+    let direct = index.search(data.queries.point(0), &params);
+    let mut server = Server::start(
+        index,
+        ServerConfig {
+            params,
+            max_block: 16,
+            workers: 2,
+            max_queue: 0,
+            obs: None,
+        },
+    );
+    let h = server
+        .submit(data.queries.point(0), 5, Duration::from_secs(10))
+        .unwrap();
+    let resp = take_by(&h, Instant::now() + Duration::from_secs(1))
+        .expect("answered within 1 s, not after waiting out the 10 s budget");
+    assert_eq!(resp.neighbors, direct.0);
+    assert_eq!(resp.batch_size, 1);
+    server.shutdown();
+    assert_eq!(server.stats().deadline_batches, 0);
+}
+
+/// No lost wake-ups: 8 closed-loop submitters against one worker with a
+/// block bound of 3, so the worker empties the queue, waits, and is woken
+/// again thousands of times. Every answer is polled against a wall limit,
+/// so a missed notify fails the test instead of hanging it. Each request
+/// is answered exactly once, bit-identical to the direct search.
+#[test]
+fn one_worker_never_misses_a_wakeup() {
+    const SUBMITTERS: usize = 8;
+    const ROUNDS: usize = 200;
+    let data = bigann_like(300, 40, 17);
+    let params = QueryParams {
+        k: 5,
+        beam: 16,
+        ..QueryParams::default()
+    };
+    let index = Arc::new(VamanaIndex::build(
+        data.points.clone(),
+        data.metric,
+        &VamanaParams::default(),
+    ));
+    let reference = index.search_batch(&data.queries, &params);
+    let mut server = Server::start(
+        index,
+        ServerConfig {
+            params,
+            max_block: 3,
+            workers: 1,
+            max_queue: 0,
+            obs: None,
+        },
+    );
+    let limit = Instant::now() + Duration::from_secs(30);
+    std::thread::scope(|scope| {
+        for t in 0..SUBMITTERS {
+            let (server, queries, reference) = (&server, &data.queries, &reference);
+            scope.spawn(move || {
+                for i in 0..ROUNDS {
+                    let q = (t * 5 + i) % queries.len();
+                    let h = server
+                        .submit(queries.point(q), 5, Duration::ZERO)
+                        .expect("submit while running");
+                    let resp = take_by(&h, limit).unwrap_or_else(|| {
+                        panic!("submitter {t}: request {i} never answered (lost wake-up)")
+                    });
+                    let bits = |r: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                        r.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&resp.neighbors), bits(&reference[q].0), "query {q}");
+                    assert!(h.try_take().is_none(), "request answered twice");
+                }
+            });
+        }
+    });
+    server.shutdown();
+    let stats = server.stats();
+    let total = (SUBMITTERS * ROUNDS) as u64;
+    assert_eq!((stats.submitted, stats.completed), (total, total));
+    assert!(stats.max_batch <= 3);
+}
+
 /// A server wired to a **private** obs sink isolates its telemetry from
 /// the process-wide one: counters and traces reflect exactly the traffic
 /// this server saw, deterministically under the manual clock.
@@ -564,17 +675,20 @@ fn private_obs_sink_collects_metrics_and_traces_deterministically() {
                 .unwrap()
         })
         .collect();
+    // The pumping caller is the idle worker, arriving 100µs after the
+    // submits — exactly at their deadline, which is not an overrun.
     clock.advance(Duration::from_micros(100));
     assert_eq!(server.pump(), 1);
     for h in handles {
         assert!(h.try_take().is_some());
     }
+    assert_eq!(server.stats().deadline_batches, 0);
 
     let text = server.metrics_text();
     assert!(text.contains("parlayann_serve_requests_total 3"), "{text}");
     assert!(text.contains("parlayann_serve_completed_total 3"), "{text}");
     assert!(
-        text.contains("parlayann_serve_batches_total{trigger=\"deadline\"} 1"),
+        text.contains("parlayann_serve_batches_total{trigger=\"idle\"} 1"),
         "{text}"
     );
     assert!(
@@ -595,7 +709,7 @@ fn private_obs_sink_collects_metrics_and_traces_deterministically() {
     assert_eq!(traces.len(), 3);
     for t in &traces {
         assert_eq!(t.batch_size, 3);
-        assert_eq!(t.reason, 1, "deadline trigger");
+        assert_eq!(t.reason, 1, "an idle worker took the batch");
         assert_eq!(t.queue_ns, 100_000);
         assert_eq!(t.generation, 0);
         assert!(t.dist_comps > 0, "engine stats flow into traces");
@@ -609,8 +723,8 @@ fn private_obs_sink_collects_metrics_and_traces_deterministically() {
 /// Telemetry reads, never steers: two deterministic servers over one
 /// sharded index — one with a private obs sink on, one with it off —
 /// driven by the same submits, clock advances and pumps answer and count
-/// identically through full, deadline, shed and drain dispatches, and the
-/// Off sink records nothing at all.
+/// identically through full, idle, shed and drain dispatches and budget
+/// overruns, and the Off sink records nothing at all.
 #[test]
 fn obs_on_and_off_servers_answer_identically() {
     use parlayann_suite::obs::{Obs, ObsMode};
@@ -685,7 +799,7 @@ fn obs_on_and_off_servers_answer_identically() {
     }
     for reason in [
         DispatchReason::Full,
-        DispatchReason::Deadline,
+        DispatchReason::Idle,
         DispatchReason::Drain,
     ] {
         assert!(reasons.contains(&reason), "no {reason:?} dispatch");
@@ -694,6 +808,7 @@ fn obs_on_and_off_servers_answer_identically() {
     let stats = servers[0].stats();
     assert_eq!(stats, servers[1].stats());
     assert!(stats.shed > 0, "the admission bound never shed");
+    assert!(stats.deadline_batches > 0, "no batch overran a budget");
     assert!(!servers[0].recent_traces().is_empty());
     assert!(servers[1].metrics_text().is_empty());
     assert!(servers[1].recent_traces().is_empty());
