@@ -9,20 +9,21 @@
 //!   no synchronization is needed and each point deterministically sees an
 //!   index of Θ(i) points.
 //! * **Batch insertion via semisort** — the reverse edges created by a
-//!   batch are collected as `(target, source)` pairs and semisorted by
-//!   target; each group (one target vertex) is then merged and re-pruned by
-//!   exactly one task, eliminating per-vertex locks.
+//!   batch are merged into their targets by [`merge_reverse`], which gives
+//!   each target row to exactly one task, eliminating per-vertex locks.
 //!
 //! The build is phase-structured: parallel reads of the snapshot, then
-//! parallel writes to disjoint rows — never both at once.
+//! parallel writes to disjoint rows through [`FlatGraph::set_rows`] — never
+//! both at once. HNSW ([`crate::hnsw`]) inserts with the same merge and
+//! writer, per layer.
 
 use crate::beam::{beam_search_into, QueryParams, SearchScratch, VisitedMode};
-use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
+use crate::edges::merge_reverse;
+use crate::graph::FlatGraph;
 use crate::prune::{heuristic_prune, robust_prune};
 use crate::query::ScratchPool;
 use ann_data::{distance_batch, Metric, PointSet, VectorElem};
-use parlay::{flatten, group_by_u32, map_slice};
-use rayon::prelude::*;
+use parlay::map_slice;
 
 /// Construction parameters shared by the incremental algorithms.
 #[derive(Clone, Copy, Debug)]
@@ -85,13 +86,12 @@ impl<T: VectorElem> PruneStrategy<T> for AlphaPrune {
     }
 }
 
-/// HNSW neighbor-selection heuristic strategy.
+/// HNSW neighbor-selection heuristic strategy, back-filling pruned
+/// candidates up to the bound (hnswlib's `keepPrunedConnections`).
 #[derive(Clone, Copy, Debug)]
 pub struct HeuristicPrune {
     /// Density knob (paper Fig. 7 tunes this per dataset).
     pub alpha: f32,
-    /// hnswlib's `keepPrunedConnections`.
-    pub keep_pruned: bool,
 }
 
 impl<T: VectorElem> PruneStrategy<T> for HeuristicPrune {
@@ -105,14 +105,7 @@ impl<T: VectorElem> PruneStrategy<T> for HeuristicPrune {
         dist_comps: &mut usize,
     ) -> Vec<u32> {
         heuristic_prune(
-            p,
-            candidates,
-            points,
-            metric,
-            self.alpha,
-            bound,
-            self.keep_pruned,
-            dist_comps,
+            p, candidates, points, metric, self.alpha, bound, true, dist_comps,
         )
     }
 }
@@ -132,26 +125,35 @@ pub fn incremental_build<T: VectorElem, P: PruneStrategy<T>>(
 ) -> (FlatGraph, u64) {
     let n = points.len();
     let mut graph = FlatGraph::new(n, params.degree);
+    let batches: Vec<&[u32]> = if params.prefix_doubling {
+        prefix_doubling(order, batch_cap(n, params.batch_cap_frac)).collect()
+    } else {
+        vec![order]
+    };
     let mut total_dc = 0u64;
-    let theta = ((params.batch_cap_frac * n as f64).ceil() as usize).max(1);
-    let m = order.len();
-    let mut done = 0usize;
-    while done < m {
-        let batch_size = if !params.prefix_doubling {
-            m
-        } else if done == 0 {
-            1
-        } else {
-            done.min(theta)
-        }
-        .min(m - done);
-        let batch = &order[done..done + batch_size];
+    for batch in batches {
         total_dc += batch_insert(
             &mut graph, points, metric, start, batch, params, pruner, false,
         );
-        done += batch_size;
     }
     (graph, total_dc)
+}
+
+/// The batch-size cap θ = ⌈`frac` · n⌉ (at least 1).
+pub(crate) fn batch_cap(n: usize, frac: f64) -> usize {
+    ((frac * n as f64).ceil() as usize).max(1)
+}
+
+/// Splits `order` into Alg. 3's batches: one point, then as many as have
+/// been inserted so far, capped at `theta`.
+pub(crate) fn prefix_doubling(order: &[u32], theta: usize) -> impl Iterator<Item = &[u32]> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        let size = done.clamp(1, theta).min(order.len() - done);
+        let batch = &order[done..done + size];
+        done += size;
+        (size > 0).then_some(batch)
+    })
 }
 
 /// A refinement pass over an existing graph (DiskANN's second pass):
@@ -166,8 +168,7 @@ pub fn refine_pass<T: VectorElem, P: PruneStrategy<T>>(
     params: &BuildParams,
     pruner: &P,
 ) -> u64 {
-    let n = points.len();
-    let theta = ((params.batch_cap_frac * n as f64).ceil() as usize).max(1);
+    let theta = batch_cap(points.len(), params.batch_cap_frac);
     let mut total_dc = 0u64;
     for batch in order.chunks(theta) {
         total_dc += batch_insert(graph, points, metric, start, batch, params, pruner, true);
@@ -200,7 +201,7 @@ fn batch_insert<T: VectorElem, P: PruneStrategy<T>>(
     // search state is reused across the batch: one scratch per worker.
     let snapshot: &FlatGraph = graph;
     let scratches: ScratchPool<SearchScratch<T>> = ScratchPool::new();
-    let results: Vec<(u32, Vec<u32>, usize)> = map_slice(batch, |&p| {
+    let results: Vec<((u32, Vec<u32>), usize)> = map_slice(batch, |&p| {
         let (stats, mut candidates) = scratches.with(|scratch| {
             let stats = beam_search_into(
                 scratch,
@@ -228,96 +229,36 @@ fn batch_insert<T: VectorElem, P: PruneStrategy<T>>(
             candidates.extend(existing.iter().copied().zip(dists));
         }
         let out = pruner.prune(p, candidates, points, metric, params.degree, &mut dc);
-        (p, out, dc)
+        ((p, out), dc)
     });
-    let mut total_dc: u64 = results.iter().map(|&(_, _, dc)| dc as u64).sum();
+    let search_dc: u64 = results.iter().map(|&(_, dc)| dc as u64).sum();
+    let rows: Vec<(u32, Vec<u32>)> = results.into_iter().map(|(row, _)| row).collect();
 
-    // Step 2 — write the new rows. Sound under real concurrency: batch ids
-    // are distinct (a batch is a slice of the insertion permutation), so
-    // every task writes a disjoint graph row, and the fork-join barrier at
-    // the end of the loop publishes the writes before step 3 reads them.
-    // Row writes are cheap (≤ degree u32 copies), so chunk them rather
-    // than paying one task per row.
-    {
-        let writer = graph.writer();
-        results
-            .par_iter()
-            .with_min_len(ROW_WRITE_GRAIN)
-            .for_each(|(p, out, _)| unsafe {
-                writer.set_neighbors(*p, out);
-            });
-    }
+    // Step 2 — write the new rows (batch ids are distinct: a batch is a
+    // slice of the insertion permutation).
+    graph.set_rows(&rows);
 
-    // Step 3 — collect reverse edges (v ← p) and semisort by target v
-    // (lines 10–12): all edges incident to one vertex become one group.
-    let nested: Vec<Vec<(u32, u32)>> = results
-        .iter()
-        .map(|(p, out, _)| out.iter().map(|&v| (v, *p)).collect())
-        .collect();
-    let (pairs, _) = flatten(&nested);
-    let grouped = group_by_u32(&pairs);
-
-    // Step 4 — merge each group into its target's neighborhood, pruning on
-    // overflow (lines 13–14). Reads are against the post-step-2 graph;
-    // writes are deferred to step 5, so no row is read and written
-    // concurrently.
+    // Steps 3–4 — reverse edges (v ← p), merged into each target by one
+    // task and pruned on overflow (lines 10–14), read against the
+    // post-step-2 graph; step 5 writes them. `pairs` is sized exactly: left
+    // to grow by doubling it measurably raised the build's peak RSS.
+    let mut pairs: Vec<(u32, u32)> =
+        Vec::with_capacity(rows.iter().map(|(_, out)| out.len()).sum());
+    pairs.extend(
+        rows.iter()
+            .flat_map(|(p, out)| out.iter().map(move |&v| (v, *p))),
+    );
     let snapshot: &FlatGraph = graph;
-    let updates: Vec<(u32, Vec<u32>, usize)> = grouped.par_map_groups(|grp| {
-        let v = grp[0].0;
-        let mut dc = 0usize;
-        let existing = snapshot.neighbors(v);
-        let mut merged: Vec<u32> = Vec::with_capacity(existing.len() + grp.len());
-        let mut seen = std::collections::HashSet::with_capacity(existing.len() + grp.len());
-        for &w in existing {
-            if seen.insert(w) {
-                merged.push(w);
-            }
-        }
-        for &(_, p) in grp {
-            if p != v && seen.insert(p) {
-                merged.push(p);
-            }
-        }
-        if merged.len() > snapshot.max_degree() {
-            let mut dists = Vec::new();
-            distance_batch(
-                points.padded_point(v as usize),
-                &merged,
-                points,
-                metric,
-                &mut dists,
-            );
-            dc += merged.len();
-            let candidates: Vec<(u32, f32)> = merged.iter().copied().zip(dists).collect();
-            let out = pruner.prune(
-                v,
-                candidates,
-                points,
-                metric,
-                snapshot.max_degree(),
-                &mut dc,
-            );
-            (v, out, dc)
-        } else {
-            (v, merged, dc)
-        }
-    });
-    total_dc += updates.iter().map(|&(_, _, dc)| dc as u64).sum::<u64>();
-
-    // Step 5 — write the merged rows. The semisort guarantees one group —
-    // hence one task — per distinct target vertex, so rows are disjoint
-    // here too, and step 4 deferred these writes so no task reads a row
-    // another task writes.
-    {
-        let writer = graph.writer();
-        updates
-            .par_iter()
-            .with_min_len(ROW_WRITE_GRAIN)
-            .for_each(|(v, out, _)| unsafe {
-                writer.set_neighbors(*v, out);
-            });
-    }
-    total_dc
+    let (updates, merge_dc) = merge_reverse(
+        &pairs,
+        |v| snapshot.neighbors(v),
+        snapshot.max_degree(),
+        points,
+        metric,
+        pruner,
+    );
+    graph.set_rows(&updates);
+    search_dc + merge_dc
 }
 
 /// A deterministic pseudo-random insertion order over `0..n`, excluding

@@ -15,9 +15,48 @@
 
 use ann_data::{distance, Metric, PointSet, VectorElem};
 use parlay::{split_by, Random};
+use rayon::prelude::*;
 
 /// Minimum size at which a node is split in parallel.
 const PAR_CUTOFF: usize = 2048;
+
+/// A candidate edge `(source, (target, distance))`.
+pub type LeafEdge = (u32, (u32, f32));
+
+/// Clusters all points into `num_trees` trees (tree `t` seeded by
+/// `rng.fork(t)`) and lets `leaf_edges` emit each leaf's candidate edges,
+/// returning its distance count. All trees and leaves run in parallel; the
+/// edges come back in tree, then leaf order, with the summed count.
+pub fn edges_from_leaves<T: VectorElem>(
+    points: &PointSet<T>,
+    num_trees: usize,
+    leaf_size: usize,
+    metric: Metric,
+    rng: Random,
+    leaf_edges: impl Fn(&[u32], &mut Vec<LeafEdge>) -> u64 + Sync,
+) -> (Vec<LeafEdge>, u64) {
+    let per_tree: Vec<Vec<(Vec<LeafEdge>, u64)>> = (0..num_trees)
+        .into_par_iter()
+        .map(|t| {
+            let ids: Vec<u32> = (0..points.len() as u32).collect();
+            random_cluster_leaves(points, ids, leaf_size, metric, rng.fork(t as u64))
+                .par_iter()
+                .map(|leaf| {
+                    let mut out = Vec::new();
+                    let dc = leaf_edges(leaf, &mut out);
+                    (out, dc)
+                })
+                .collect()
+        })
+        .collect();
+    let mut edges = Vec::new();
+    let mut dc = 0u64;
+    for (e, d) in per_tree.into_iter().flatten() {
+        edges.extend(e);
+        dc += d;
+    }
+    (edges, dc)
+}
 
 /// Recursively clusters `ids`, returning the leaf id-sets (each of size
 /// ≤ `leaf_size`, except degenerate duplicate-heavy inputs).

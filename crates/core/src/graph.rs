@@ -5,11 +5,13 @@
 //! — no per-vertex indirection, no pointer chasing. A vertex's slot holds up
 //! to `max_degree` out-neighbor ids plus a live count.
 //!
-//! Batch builds mutate disjoint vertex rows from parallel loops through
-//! [`GraphWriter`], the lock-free write path of §3.1: after the semisort,
-//! each task owns exactly one vertex's row.
+//! Every builder writes its rows through one call, [`FlatGraph::set_rows`],
+//! the lock-free write path of §3.1: after the semisort each vertex's new
+//! row comes from exactly one task, and `set_rows` checks that the rows it
+//! is handed are distinct before writing them in parallel.
 
 use parlay::{hash64, hash64_pair, tabulate, UnsafeSliceCell};
+use rayon::prelude::*;
 
 /// A directed graph over vertices `0..n` with bounded out-degree, stored as
 /// one flat array (`n × max_degree` edge slots + a count per vertex).
@@ -125,77 +127,56 @@ impl FlatGraph {
         row_hashes.iter().fold(0u64, |acc, &h| hash64_pair(acc, h))
     }
 
-    /// A parallel writer over disjoint vertex rows.
-    pub fn writer(&mut self) -> GraphWriter<'_> {
-        GraphWriter {
-            max_degree: self.max_degree,
-            counts: UnsafeSliceCell::new(&mut self.counts),
-            edges: UnsafeSliceCell::new(&mut self.edges),
+    /// Overwrites the out-neighborhoods of many vertices in parallel:
+    /// `rows` holds `(v, list)` pairs.
+    ///
+    /// Panics, before writing anything, if a vertex appears twice, is out
+    /// of range, or gets a list longer than the degree bound.
+    pub fn set_rows<R: AsRef<[u32]> + Sync>(&mut self, rows: &[(u32, R)]) {
+        let n = self.len();
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        for (v, list) in rows {
+            let v = *v as usize;
+            assert!(v < n, "row {v} out of range for {n} vertices");
+            let len = list.as_ref().len();
+            assert!(
+                len <= self.max_degree,
+                "degree {len} exceeds bound {}",
+                self.max_degree
+            );
+            let bit = 1u64 << (v % 64);
+            assert!(seen[v / 64] & bit == 0, "row {v} written twice");
+            seen[v / 64] |= bit;
         }
+        let max_degree = self.max_degree;
+        let counts = UnsafeSliceCell::new(&mut self.counts);
+        let edges = UnsafeSliceCell::new(&mut self.edges);
+        // Row writes are a handful of `u32` copies each, far below task
+        // overhead, so tasks batch many rows.
+        rows.par_iter()
+            .with_min_len(ROW_WRITE_GRAIN)
+            .for_each(|(v, list)| {
+                let (v, list) = (*v as usize, list.as_ref());
+                // SAFETY: the check above proved every `v` in range and
+                // distinct, and every list within `max_degree`, so each task
+                // writes only its own rows' slots `[v·max_degree, +len)` and
+                // count `v`, all in bounds, and nothing reads them during the
+                // loop (`self` is borrowed mutably). The loop's fork-join
+                // barrier publishes the writes before `set_rows` returns.
+                unsafe {
+                    edges.copy_from_slice(v * max_degree, list);
+                    counts.write(v, list.len() as u32);
+                }
+            });
     }
 }
 
-/// Minimum rows per task for disjoint-row write loops over a
-/// [`GraphWriter`]: one row write is a handful of `u32` copies, far below
-/// task overhead, so tasks batch many rows.
-pub(crate) const ROW_WRITE_GRAIN: usize = 64;
-
-/// Write handle allowing concurrent updates to *disjoint* vertex rows.
-///
-/// # Safety contract
-/// While a `GraphWriter` exists, each vertex row must be touched (read or
-/// written) by at most one task. The builders guarantee this: step (1)
-/// writes rows of the freshly inserted batch (unique ids), and step (2)
-/// writes rows grouped by a semisort (one group — one vertex — one task).
-///
-/// Under the real work-stealing pool this is a genuine concurrent write
-/// path: disjointness makes the plain (non-atomic) row writes race-free,
-/// and visibility to later phases comes from the fork-join barrier ending
-/// each parallel loop — task completion is published through the pool's
-/// latches/queues, which happens-before everything after the loop. No row
-/// is read and written in the same parallel phase.
-pub struct GraphWriter<'a> {
-    max_degree: usize,
-    counts: UnsafeSliceCell<'a, u32>,
-    edges: UnsafeSliceCell<'a, u32>,
-}
-
-impl GraphWriter<'_> {
-    /// Overwrites the out-neighborhood of `v`.
-    ///
-    /// # Safety
-    /// No concurrent access to vertex `v`'s row.
-    pub unsafe fn set_neighbors(&self, v: u32, list: &[u32]) {
-        assert!(
-            list.len() <= self.max_degree,
-            "degree {} exceeds bound {}",
-            list.len(),
-            self.max_degree
-        );
-        let start = v as usize * self.max_degree;
-        self.edges.copy_from_slice(start, list);
-        self.counts.write(v as usize, list.len() as u32);
-    }
-
-    /// Reads the out-neighborhood of `v`.
-    ///
-    /// # Safety
-    /// No concurrent writer to vertex `v`'s row.
-    pub unsafe fn neighbors(&self, v: u32) -> &[u32] {
-        let start = v as usize * self.max_degree;
-        let count = *self
-            .counts
-            .slice_mut(v as usize, 1)
-            .first()
-            .expect("count slot");
-        &self.edges.slice_mut(start, count as usize)[..]
-    }
-}
+/// Minimum rows per task in [`FlatGraph::set_rows`].
+const ROW_WRITE_GRAIN: usize = 64;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn set_and_read_neighbors() {
@@ -229,15 +210,25 @@ mod tests {
     fn parallel_writer_disjoint_rows() {
         let n = 5000;
         let mut g = FlatGraph::new(n, 4);
-        {
-            let w = g.writer();
-            (0..n as u32).into_par_iter().for_each(|v| unsafe {
-                w.set_neighbors(v, &[v.wrapping_add(1) % n as u32]);
-            });
-        }
+        let rows: Vec<(u32, [u32; 1])> = (0..n as u32).map(|v| (v, [(v + 1) % n as u32])).collect();
+        g.set_rows(&rows);
         for v in 0..n as u32 {
-            assert_eq!(g.neighbors(v), &[v.wrapping_add(1) % n as u32]);
+            assert_eq!(g.neighbors(v), &[(v + 1) % n as u32]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 7 written twice")]
+    fn set_rows_rejects_a_repeated_row() {
+        let mut g = FlatGraph::new(100, 4);
+        g.set_rows(&[(3, vec![1]), (7, vec![2]), (50, vec![]), (7, vec![3])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds bound")]
+    fn set_rows_rejects_an_overfull_row() {
+        let mut g = FlatGraph::new(4, 2);
+        g.set_rows(&[(0, vec![1, 2, 3])]);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! overflowed L3 and capped speedup), the MST is **edge-restricted** to
 //! each point's `l`-nearest neighbors within the leaf (`l = 10`). The
 //! complete-graph variant is kept behind [`HcnngParams::full_mst`] for the
-//! ablation. Tree-edge union is lock-free via semisort (§3.2).
+//! ablation. Tree-edge union is lock-free via semisort (§3.2): each
+//! vertex's edges become one group, HCNNG's own rule turns it into a row
+//! (sorted by distance, α-pruned past the degree cap), and the rows are
+//! written with the builders' one row writer, [`FlatGraph::set_rows`].
 
-use crate::cluster::random_cluster_leaves;
-use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
+use crate::cluster::{edges_from_leaves, LeafEdge};
+use crate::graph::FlatGraph;
 use crate::index::{GraphBuilder, GraphIndex};
 use crate::medoid::medoid;
 use crate::prune::robust_prune;
@@ -21,7 +24,6 @@ use crate::query::IndexKind;
 use crate::stats::BuildStats;
 use ann_data::{distance, Metric, PointSet, VectorElem};
 use parlay::{group_by_u32, Random};
-use rayon::prelude::*;
 
 /// Build parameters for [`build`] (paper Fig. 7 row "HCNNG").
 #[derive(Clone, Copy, Debug)]
@@ -114,7 +116,7 @@ fn leaf_mst<T: VectorElem>(
     leaf: &[u32],
     metric: Metric,
     params: &HcnngParams,
-    out: &mut Vec<(u32, (u32, f32))>,
+    out: &mut Vec<LeafEdge>,
 ) -> u64 {
     let m = leaf.len();
     if m < 2 {
@@ -211,43 +213,19 @@ pub fn build<T: VectorElem>(
     let t0 = std::time::Instant::now();
     let n = points.len();
     assert!(n > 0);
-    let rng = Random::new(params.seed ^ 0xc177);
-
     // All trees and all leaves in parallel; each leaf emits MST edges.
-    let per_tree: Vec<(Vec<(u32, (u32, f32))>, u64)> = (0..params.num_trees)
-        .into_par_iter()
-        .map(|t| {
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let leaves =
-                random_cluster_leaves(&points, ids, params.leaf_size, metric, rng.fork(t as u64));
-            let results: Vec<(Vec<(u32, (u32, f32))>, u64)> = leaves
-                .par_iter()
-                .map(|leaf| {
-                    let mut out = Vec::new();
-                    let dc = leaf_mst(&points, leaf, metric, params, &mut out);
-                    (out, dc)
-                })
-                .collect();
-            let mut edges = Vec::new();
-            let mut dc = 0u64;
-            for (e, d) in results {
-                edges.extend(e);
-                dc += d;
-            }
-            (edges, dc)
-        })
-        .collect();
-
-    let mut all_edges: Vec<(u32, (u32, f32))> = Vec::new();
-    let mut dc_total = 0u64;
-    for (e, d) in per_tree {
-        all_edges.extend(e);
-        dc_total += d;
-    }
+    let (all_edges, mut dc_total) = edges_from_leaves(
+        &points,
+        params.num_trees,
+        params.leaf_size,
+        metric,
+        Random::new(params.seed ^ 0xc177),
+        |leaf, out| leaf_mst(&points, leaf, metric, params, out),
+    );
 
     // Lock-free union: semisort by source, dedup targets, cap degree.
     let grouped = group_by_u32(&all_edges);
-    let rows: Vec<(u32, Vec<u32>, u64)> = grouped.par_map_groups(|grp| {
+    let rows: Vec<((u32, Vec<u32>), u64)> = grouped.par_map_groups(|grp| {
         let v = grp[0].0;
         let mut targets: Vec<(u32, f32)> = grp.iter().map(|&(_, e)| e).collect();
         targets.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -258,21 +236,12 @@ pub fn build<T: VectorElem>(
         } else {
             targets.into_iter().map(|(id, _)| id).collect()
         };
-        (v, out, dc as u64)
+        ((v, out), dc as u64)
     });
-
+    dc_total += rows.iter().map(|&(_, dc)| dc).sum::<u64>();
+    let rows: Vec<(u32, Vec<u32>)> = rows.into_iter().map(|(row, _)| row).collect();
     let mut graph = FlatGraph::new(n, params.max_degree);
-    {
-        let writer = graph.writer();
-        // Disjoint rows (one task per distinct vertex); chunked so a task
-        // amortizes scheduling over many cheap row writes.
-        rows.par_iter()
-            .with_min_len(ROW_WRITE_GRAIN)
-            .for_each(|(v, out, _)| unsafe {
-                writer.set_neighbors(*v, out);
-            });
-    }
-    dc_total += rows.iter().map(|&(_, _, dc)| dc).sum::<u64>();
+    graph.set_rows(&rows);
 
     let start = medoid(&points);
     let build_stats = BuildStats {

@@ -9,22 +9,24 @@
 //! up front* (a hash of the id replaces the usual RNG-behind-a-lock), the
 //! member list of every layer is therefore known before insertion, and
 //! prefix-doubling batch insertion (§3.1) is applied **per layer** with the
-//! semisort-based reverse-edge merge. All internal locks of the original
-//! HNSW are gone. As in hnswlib, the bottom layer has degree bound `2m`
-//! and upper layers `m`.
+//! builders' one reverse-edge merge ([`crate::edges::merge_reverse`], with
+//! the selection heuristic as its prune) and one row writer
+//! ([`FlatGraph::set_rows`], after mapping global ids to layer-local rows).
+//! All internal locks of the original HNSW are gone. As in hnswlib, the
+//! bottom layer has degree bound `2m` and upper layers `m`, and pruned
+//! candidates back-fill a row up to its bound (`keepPrunedConnections`).
 
 use crate::beam::{beam_search_into, GraphView, QueryParams, SearchScratch, VisitedMode};
-use crate::builder::insertion_order;
-use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
-use crate::prune::heuristic_prune;
+use crate::builder::{batch_cap, insertion_order, prefix_doubling, HeuristicPrune, PruneStrategy};
+use crate::edges::merge_reverse;
+use crate::graph::FlatGraph;
 use crate::query::{IndexKind, IndexStats, ScratchPool};
 use crate::range::RangeParams;
 use crate::stats::{BuildStats, SearchStats};
 use crate::AnnIndex;
 use ann_data::{Metric, PointSet, VectorElem};
 use parlay::hash::to_unit_f64;
-use parlay::{flatten, group_by_u32, hash64, map_slice, min_index_by, pack};
-use rayon::prelude::*;
+use parlay::{hash64, map_slice, min_index_by, pack};
 
 /// Build parameters for [`HnswIndex`] (paper Fig. 7 row "HNSW").
 #[derive(Clone, Copy, Debug)]
@@ -36,8 +38,6 @@ pub struct HnswParams {
     pub ef_construction: usize,
     /// Density knob for the selection heuristic (Fig. 7: 0.82–1.1).
     pub alpha: f32,
-    /// hnswlib's `keepPrunedConnections`.
-    pub keep_pruned: bool,
     /// Batch-size truncation θ as a fraction of n.
     pub batch_cap_frac: f64,
     /// Seed for level assignment and insertion order.
@@ -50,7 +50,6 @@ impl Default for HnswParams {
             m: 16,
             ef_construction: 64,
             alpha: 1.0,
-            keep_pruned: true,
             batch_cap_frac: 0.02,
             seed: 42,
         }
@@ -78,6 +77,15 @@ impl Layer {
                 .binary_search(&global)
                 .expect("vertex not a member of this layer") as u32
         }
+    }
+
+    /// Writes rows keyed by global id.
+    fn set_rows<R: AsRef<[u32]> + Sync>(&mut self, rows: Vec<(u32, R)>) {
+        let local: Vec<(u32, R)> = rows
+            .into_iter()
+            .map(|(v, row)| (self.local(v), row))
+            .collect();
+        self.graph.set_rows(&local);
     }
 }
 
@@ -167,13 +175,9 @@ impl<T: VectorElem> HnswIndex<T> {
 
         // Prefix-doubling batch insertion over the shuffled order.
         let order = insertion_order(n, entry, params.seed);
-        let theta = ((params.batch_cap_frac * n as f64).ceil() as usize).max(1);
         let mut dc_total = 0u64;
-        let mut done = 0usize;
-        while done < order.len() {
-            let bs = if done == 0 { 1 } else { done.min(theta) }.min(order.len() - done);
-            dc_total += index.batch_insert(&order[done..done + bs], params);
-            done += bs;
+        for batch in prefix_doubling(&order, batch_cap(n, params.batch_cap_frac)) {
+            dc_total += index.batch_insert(batch, params);
         }
         index.build_stats = BuildStats {
             seconds: t0.elapsed().as_secs_f64(),
@@ -216,7 +220,9 @@ impl<T: VectorElem> HnswIndex<T> {
     /// its layers, then per-layer reverse edges are merged via semisort.
     fn batch_insert(&mut self, batch: &[u32], params: &HnswParams) -> u64 {
         let top = self.levels[self.entry as usize] as usize;
-        let m = params.m.max(2);
+        let pruner = HeuristicPrune {
+            alpha: params.alpha,
+        };
 
         // Step 1 — independent multi-layer searches on the snapshot.
         type PerPoint = (u32, Vec<(usize, Vec<u32>)>, usize);
@@ -250,15 +256,12 @@ impl<T: VectorElem> HnswIndex<T> {
                         &qp,
                     );
                     dc += stats.dist_comps;
-                    let bound = if l == 0 { 2 * m } else { m };
-                    let out = heuristic_prune(
+                    let out = pruner.prune(
                         p,
                         scratch.expanded().to_vec(),
                         &self.points,
                         self.metric,
-                        params.alpha,
-                        bound,
-                        params.keep_pruned,
+                        self.layers[l].graph.max_degree(),
                         &mut dc,
                     );
                     cur = scratch.frontier().first().map_or(cur, |&(id, _)| id);
@@ -269,88 +272,34 @@ impl<T: VectorElem> HnswIndex<T> {
         });
         let mut dc_total: u64 = results.iter().map(|&(_, _, dc)| dc as u64).sum();
 
-        // Steps 2–5, per layer (few layers; the heavy work is inside each).
-        for l in 0..=top {
-            let bound = if l == 0 { 2 * m } else { m };
-            // New rows for this layer.
-            let new_rows: Vec<(u32, &Vec<u32>)> = results
+        // Steps 2–5, per layer (few layers; the heavy work is inside each):
+        // write the new rows, then merge their reverse edges.
+        for (l, layer) in self.layers.iter_mut().enumerate() {
+            let new_rows: Vec<(u32, &[u32])> = results
                 .iter()
                 .filter_map(|(p, outs, _)| {
                     outs.iter()
                         .find(|&&(ll, _)| ll == l)
-                        .map(|(_, out)| (*p, out))
+                        .map(|(_, out)| (*p, out.as_slice()))
                 })
                 .collect();
-            if new_rows.is_empty() {
-                continue;
-            }
-            {
-                let layer = &mut self.layers[l];
-                let locals: Vec<u32> = new_rows.iter().map(|&(p, _)| layer.local(p)).collect();
-                let writer = layer.graph.writer();
+            let mut pairs = Vec::with_capacity(new_rows.iter().map(|(_, out)| out.len()).sum());
+            pairs.extend(
                 new_rows
-                    .par_iter()
-                    .zip(locals.par_iter())
-                    .with_min_len(ROW_WRITE_GRAIN)
-                    .for_each(|(&(_, out), &loc)| unsafe {
-                        writer.set_neighbors(loc, out);
-                    });
-            }
-            // Reverse edges (v ← p), grouped by target via semisort.
-            let nested: Vec<Vec<(u32, u32)>> = new_rows
-                .iter()
-                .map(|&(p, out)| out.iter().map(|&v| (v, p)).collect())
-                .collect();
-            let (pairs, _) = flatten(&nested);
-            let grouped = group_by_u32(&pairs);
-            let layer_ref: &Layer = &self.layers[l];
-            let points = &self.points;
-            let metric = self.metric;
-            let alpha = params.alpha;
-            let updates: Vec<(u32, Vec<u32>, usize)> = grouped.par_map_groups(|grp| {
-                let v = grp[0].0;
-                let mut dc = 0usize;
-                let existing = layer_ref.graph.neighbors(layer_ref.local(v));
-                let mut merged: Vec<u32> = Vec::with_capacity(existing.len() + grp.len());
-                let mut seen = std::collections::HashSet::with_capacity(existing.len() + grp.len());
-                for &w in existing {
-                    if seen.insert(w) {
-                        merged.push(w);
-                    }
-                }
-                for &(_, p) in grp {
-                    if p != v && seen.insert(p) {
-                        merged.push(p);
-                    }
-                }
-                if merged.len() > bound {
-                    let v_pt = points.point(v as usize);
-                    let mut cands = Vec::with_capacity(merged.len());
-                    for &id in &merged {
-                        let d = ann_data::distance(v_pt, points.point(id as usize), metric);
-                        dc += 1;
-                        cands.push((id, d));
-                    }
-                    let out =
-                        heuristic_prune(v, cands, points, metric, alpha, bound, true, &mut dc);
-                    (v, out, dc)
-                } else {
-                    (v, merged, dc)
-                }
-            });
-            dc_total += updates.iter().map(|&(_, _, dc)| dc as u64).sum::<u64>();
-            let layer = &mut self.layers[l];
-            let locals: Vec<u32> = updates.iter().map(|&(v, _, _)| layer.local(v)).collect();
-            {
-                let writer = layer.graph.writer();
-                updates
-                    .par_iter()
-                    .zip(locals.par_iter())
-                    .with_min_len(ROW_WRITE_GRAIN)
-                    .for_each(|((_, out, _), &loc)| unsafe {
-                        writer.set_neighbors(loc, out);
-                    });
-            }
+                    .iter()
+                    .flat_map(|&(p, out)| out.iter().map(move |&v| (v, p))),
+            );
+            layer.set_rows(new_rows);
+            let (updates, dc) = merge_reverse(
+                &pairs,
+                |v| layer.graph.neighbors(layer.local(v)),
+                layer.graph.max_degree(),
+                &self.points,
+                self.metric,
+                &pruner,
+            );
+            dc_total += dc;
+            layer.set_rows(updates);
         }
         dc_total
     }
@@ -392,9 +341,14 @@ impl<T: VectorElem> HnswIndex<T> {
         &self.points
     }
 
-    /// Deterministic digest over all layers' adjacency.
+    /// Deterministic digest of the whole hierarchy: each layer's member
+    /// ids and [`FlatGraph::fingerprint`], folded in layer order.
     pub fn fingerprint(&self) -> u64 {
         self.layers.iter().fold(0u64, |acc, l| {
+            let acc = l
+                .members
+                .iter()
+                .fold(acc, |acc, &g| parlay::hash64_pair(acc, g as u64));
             parlay::hash64_pair(acc, l.graph.fingerprint())
         })
     }

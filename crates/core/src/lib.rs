@@ -46,6 +46,7 @@ pub mod beam;
 pub mod builder;
 pub mod cluster;
 pub mod diskann;
+pub mod edges;
 pub mod graph;
 pub mod hcnng;
 pub mod hnsw;

@@ -14,9 +14,14 @@
 //!   sampling (the paper uses 2000 with random sampling);
 //! * **blocked two-hop computation** — rounds process points in fixed-size
 //!   blocks to bound the intermediate two-hop memory.
+//!
+//! Every edge grouping (seeding, undirecting, the final reverse edges) is
+//! the semisort of §3; the final rows — each point's pruned row followed
+//! by its reverse edges up to `2K`, with no further prune — are written
+//! with the builders' one row writer, [`FlatGraph::set_rows`].
 
-use crate::cluster::random_cluster_leaves;
-use crate::graph::{FlatGraph, ROW_WRITE_GRAIN};
+use crate::cluster::edges_from_leaves;
+use crate::graph::FlatGraph;
 use crate::index::{GraphBuilder, GraphIndex};
 use crate::medoid::medoid;
 use crate::prune::robust_prune;
@@ -127,34 +132,24 @@ pub fn build<T: VectorElem>(
         let grp = rev_grouped.group(g);
         rev_rows[grp[0].0 as usize] = grp.iter().map(|&(_, p)| p).collect();
     }
-    let mut graph = FlatGraph::new(n, 2 * params.k);
-    {
-        let final_rows: Vec<(u32, Vec<u32>)> = pruned
-            .par_iter()
-            .map(|(v, out, _)| {
-                let mut merged = out.clone();
-                let mut seen: std::collections::HashSet<u32> = merged.iter().copied().collect();
-                for &r in &rev_rows[*v as usize] {
-                    if merged.len() >= 2 * params.k {
-                        break;
-                    }
-                    if r != *v && seen.insert(r) {
-                        merged.push(r);
-                    }
+    // Rows hold at most 2K ids, so a linear scan dedups.
+    let final_rows: Vec<(u32, Vec<u32>)> = pruned
+        .par_iter()
+        .map(|(v, out, _)| {
+            let mut merged = out.clone();
+            for &r in &rev_rows[*v as usize] {
+                if merged.len() >= 2 * params.k {
+                    break;
                 }
-                (*v, merged)
-            })
-            .collect();
-        let writer = graph.writer();
-        // Disjoint rows (one task per distinct vertex); chunked so a task
-        // amortizes scheduling over many cheap row writes.
-        final_rows
-            .par_iter()
-            .with_min_len(ROW_WRITE_GRAIN)
-            .for_each(|(v, out)| unsafe {
-                writer.set_neighbors(*v, out);
-            });
-    }
+                if r != *v && !merged.contains(&r) {
+                    merged.push(r);
+                }
+            }
+            (*v, merged)
+        })
+        .collect();
+    let mut graph = FlatGraph::new(n, 2 * params.k);
+    graph.set_rows(&final_rows);
 
     let mut starts = vec![medoid(&points)];
     let extra = (n as f64).sqrt() as usize / 2;
@@ -188,53 +183,34 @@ fn descend<T: VectorElem>(
     params: &PyNNDescentParams,
 ) -> (Rows, usize, u64) {
     let n = points.len();
-    let mut dc_total = 0u64;
 
     // ---- Seeding: T cluster trees, exact k-NN inside each leaf. ----
-    let rng = Random::new(params.seed ^ 0x9a11);
-    let per_tree: Vec<(Vec<(u32, (u32, f32))>, u64)> = (0..params.num_trees)
-        .into_par_iter()
-        .map(|t| {
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let leaves =
-                random_cluster_leaves(points, ids, params.leaf_size, metric, rng.fork(t as u64));
-            let results: Vec<(Vec<(u32, (u32, f32))>, u64)> = leaves
-                .par_iter()
-                .map(|leaf| {
-                    let mut out = Vec::new();
-                    let mut dc = 0u64;
-                    let l = params.k.min(leaf.len().saturating_sub(1));
-                    for (i, &gi) in leaf.iter().enumerate() {
-                        let pi = points.point(gi as usize);
-                        let mut cands: Vec<(u32, f32)> = Vec::with_capacity(leaf.len() - 1);
-                        for (j, &gj) in leaf.iter().enumerate() {
-                            if i != j {
-                                let d = distance(pi, points.point(gj as usize), metric);
-                                dc += 1;
-                                cands.push((gj, d));
-                            }
-                        }
-                        for e in keep_k(cands, l) {
-                            out.push((gi, e));
-                        }
-                    }
-                    (out, dc)
-                })
-                .collect();
-            let mut edges = Vec::new();
+    let (seed_edges, mut dc_total) = edges_from_leaves(
+        points,
+        params.num_trees,
+        params.leaf_size,
+        metric,
+        Random::new(params.seed ^ 0x9a11),
+        |leaf, out| {
             let mut dc = 0u64;
-            for (e, d) in results {
-                edges.extend(e);
-                dc += d;
+            let l = params.k.min(leaf.len().saturating_sub(1));
+            for (i, &gi) in leaf.iter().enumerate() {
+                let pi = points.point(gi as usize);
+                let mut cands: Vec<(u32, f32)> = Vec::with_capacity(leaf.len() - 1);
+                for (j, &gj) in leaf.iter().enumerate() {
+                    if i != j {
+                        let d = distance(pi, points.point(gj as usize), metric);
+                        dc += 1;
+                        cands.push((gj, d));
+                    }
+                }
+                for e in keep_k(cands, l) {
+                    out.push((gi, e));
+                }
             }
-            (edges, dc)
-        })
-        .collect();
-    let mut seed_edges: Vec<(u32, (u32, f32))> = Vec::new();
-    for (e, d) in per_tree {
-        seed_edges.extend(e);
-        dc_total += d;
-    }
+            dc
+        },
+    );
     let grouped = group_by_u32(&seed_edges);
     let mut rows: Rows = vec![Vec::new(); n];
     let row_updates: Vec<(u32, Vec<(u32, f32)>)> = grouped.par_map_groups(|grp| {
@@ -329,12 +305,10 @@ fn descend_round<T: VectorElem>(
                     }
                 }
                 let new_row = keep_k(cands, params.k);
-                // Count changed edges vs the previous row.
-                let old: std::collections::HashSet<u32> =
-                    rows[p].iter().map(|&(id, _)| id).collect();
+                // Count changed edges vs the previous row (both ≤ K long).
                 let changed = new_row
                     .iter()
-                    .filter(|&&(id, _)| !old.contains(&id))
+                    .filter(|&&(id, _)| !rows[p].iter().any(|&(old, _)| old == id))
                     .count();
                 (p, new_row, changed, dc)
             })

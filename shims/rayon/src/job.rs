@@ -1,17 +1,14 @@
 //! Type-erased units of work.
 //!
 //! A [`JobRef`] is a fat-pointer-by-hand (`*const ()` + an `unsafe fn`) so
-//! that jobs of any concrete type can sit in the worker deques. Two concrete
-//! job kinds exist:
+//! that jobs of any concrete type can sit in the worker deques. The one
+//! concrete job kind, [`StackJob`], lives on the stack of the thread that
+//! created it (the second arm of a `join`, or the closure an external
+//! thread injects). The creator *must* keep the job alive until its latch
+//! is set; that is what makes the borrow-carrying closures of `join` sound.
 //!
-//! * [`StackJob`] — lives on the stack of the thread that created it (the
-//!   second arm of a `join`, or the closure an external thread injects). The
-//!   creator *must* keep the job alive until its latch is set; that is what
-//!   makes the borrow-carrying closures of `join` sound.
-//! * [`HeapJob`] — boxed fire-and-forget work (`scope::spawn`, `spawn`).
-//!
-//! Every job catches panics; `StackJob` stores the payload for the waiter to
-//! rethrow, `HeapJob` hands it to a caller-supplied handler.
+//! A job catches its closure's panic and stores the payload for the waiter
+//! to rethrow.
 
 use crate::latch::Latch;
 use std::any::Any;
@@ -21,9 +18,8 @@ use std::panic::{self, AssertUnwindSafe};
 /// An erased pointer to a job plus its executor.
 ///
 /// # Safety
-/// The pointee must outlive the reference (enforced by the latch protocol
-/// for stack jobs, and by ownership transfer for heap jobs), and `execute`
-/// must be called at most once.
+/// The pointee must outlive the reference (enforced by the latch
+/// protocol), and `execute` must be called at most once.
 pub(crate) struct JobRef {
     pointer: *const (),
     execute_fn: unsafe fn(*const ()),
@@ -97,30 +93,5 @@ where
     /// Takes the result. Only valid after the latch has been observed set.
     pub(crate) unsafe fn take_result(&self) -> JobResult<R> {
         std::mem::replace(&mut *self.result.get(), JobResult::None)
-    }
-}
-
-/// A boxed fire-and-forget job.
-pub(crate) struct HeapJob {
-    func: Box<dyn FnOnce() + Send>,
-}
-
-impl HeapJob {
-    /// Boxes `func` into an erased job reference.
-    ///
-    /// # Safety
-    /// `func` may have a non-`'static` lifetime (scope spawns); the caller
-    /// guarantees it is executed before the borrowed data dies.
-    pub(crate) unsafe fn into_job_ref(func: Box<dyn FnOnce() + Send>) -> JobRef {
-        let job = Box::new(HeapJob { func });
-        JobRef::new(Box::into_raw(job), Self::execute_erased)
-    }
-
-    unsafe fn execute_erased(ptr: *const ()) {
-        let job = Box::from_raw(ptr as *mut Self);
-        // Panics are the closure's responsibility (scope spawns wrap their
-        // body in catch_unwind); a stray panic here would unwind into the
-        // worker loop, which also catches it defensively.
-        (job.func)();
     }
 }

@@ -1,18 +1,16 @@
 //! Completion signalling between tasks.
 //!
-//! A *latch* is a one-shot "this job is done" flag. Three variants cover the
-//! three waiting situations in the pool:
+//! A *latch* is a one-shot "this job is done" flag. Two variants cover the
+//! two waiting situations in the pool:
 //!
 //! * [`SpinLatch`] — set by whichever worker executes a stolen `join` arm;
 //!   probed from a worker's steal-while-wait loop. Setting also pokes the
 //!   registry's idle condvar so sleeping workers re-check for work.
 //! * [`LockLatch`] — mutex + condvar, for *external* (non-worker) threads
 //!   blocking on a job they injected into a pool.
-//! * [`CountLatch`] — a counter latch used by [`scope`](crate::scope): one
-//!   increment per spawned task, "set" when the count returns to zero.
 
 use crate::registry::Registry;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Something a job can set exactly once on completion.
@@ -86,35 +84,5 @@ impl Latch for LockLatch {
         let mut done = self.done.lock().unwrap();
         *done = true;
         self.cond.notify_all();
-    }
-}
-
-/// Counts outstanding scope tasks; "set" when it reaches zero.
-pub(crate) struct CountLatch {
-    count: AtomicUsize,
-}
-
-impl CountLatch {
-    pub(crate) fn new() -> Self {
-        CountLatch {
-            count: AtomicUsize::new(0),
-        }
-    }
-
-    pub(crate) fn increment(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrements; the final decrement releases the task's writes.
-    pub(crate) fn decrement(&self, registry: &Registry) {
-        if self.count.fetch_sub(1, Ordering::Release) == 1 {
-            registry.notify_all();
-        }
-    }
-
-    /// `true` when no tasks remain (acquires all their writes).
-    #[inline]
-    pub(crate) fn done(&self) -> bool {
-        self.count.load(Ordering::Acquire) == 0
     }
 }

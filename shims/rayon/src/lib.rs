@@ -19,8 +19,6 @@
 //!   pure function of input length — *not* of worker count — so reduction
 //!   order is deterministic (the property every build in this workspace
 //!   relies on; see the module docs).
-//! * **[`scope`]/[`Scope::spawn`]/[`spawn`]** — structured and
-//!   fire-and-forget task spawning.
 //! * **[`ThreadPool`]** — genuinely bounded pools: `install` runs its
 //!   closure *on* the pool's workers, so work inside really uses `n`
 //!   threads, and [`current_num_threads`] inside a worker reports the pool
@@ -33,20 +31,18 @@
 //!
 //! Swapping crates.io rayon back in remains a one-line change in the
 //! workspace manifest: the API surface is call-compatible. Known deltas vs
-//! the real crate: only the subset above is implemented; iterator splitting
-//! is static rather than steal-adaptive (deliberate, for determinism); and
-//! `spawn` always targets the global pool.
+//! the real crate: only the subset above is implemented (no `scope` or
+//! `spawn`: nothing in the workspace spawns tasks outside a `join`), and
+//! iterator splitting is static rather than steal-adaptive (deliberate, for
+//! determinism).
 
 mod job;
 mod latch;
 mod registry;
-mod scope;
 
 pub mod iter;
 
-pub use scope::{scope, Scope};
-
-use job::{HeapJob, JobResult, StackJob};
+use job::{JobResult, StackJob};
 use latch::SpinLatch;
 use registry::{current_registry, global_registry, Registry};
 use std::panic::{self, AssertUnwindSafe};
@@ -112,21 +108,6 @@ where
         JobResult::Panic(payload) => panic::resume_unwind(payload),
         JobResult::None => unreachable!("join latch set without a result"),
     }
-}
-
-/// Queues `f` on the global pool, fire-and-forget. A panic in `f` is
-/// swallowed (rayon aborts instead; nothing in this workspace spawns
-/// panicking detached work).
-pub fn spawn<F>(f: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    let wrapped = Box::new(move || {
-        let _ = panic::catch_unwind(AssertUnwindSafe(f));
-    });
-    // SAFETY: 'static closure; executes once on the global pool.
-    let job = unsafe { HeapJob::into_job_ref(wrapped) };
-    global_registry().inject(job);
 }
 
 /// Number of workers in the pool that owns the current thread, or in the
@@ -305,23 +286,5 @@ mod tests {
             .collect();
         assert_eq!(zipped.len(), 9_000);
         assert!(zipped.iter().enumerate().all(|(i, &v)| v as usize == 3 * i));
-    }
-
-    #[test]
-    fn scope_runs_all_spawns() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..64 {
-                s.spawn(|s| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    // Nested spawn on the same scope.
-                    s.spawn(|_| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 128);
     }
 }

@@ -1,5 +1,5 @@
 //! Pool semantics under real stealing: result ordering, panic propagation,
-//! scope completion, and schedule-independence of every combining path.
+//! and schedule-independence of every combining path.
 //!
 //! These tests run on multi-worker pools, so the schedules they exercise
 //! are genuinely nondeterministic; the assertions pin down that *results*
@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn pool(n: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -64,31 +64,6 @@ proptest! {
         });
         let want: Vec<u64> = xs.iter().map(|&x| spin(x) ^ x).collect();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn scope_spawns_all_complete(tasks in 0usize..150) {
-        let counter = AtomicUsize::new(0);
-        pool(8).install(|| {
-            rayon::scope(|s| {
-                let counter = &counter;
-                for i in 0..tasks {
-                    s.spawn(move |s| {
-                        spin(i as u64 % 17);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        if i % 5 == 0 {
-                            s.spawn(move |_| {
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                }
-            });
-        });
-        prop_assert_eq!(
-            counter.load(Ordering::Relaxed),
-            tasks + tasks.div_ceil(5)
-        );
     }
 
     #[test]
@@ -157,30 +132,6 @@ fn nested_join_panic_unwinds_through_levels() {
     }));
     let payload = result.expect_err("panic must propagate");
     assert_eq!(panic_message(&*payload), "deep-panic");
-}
-
-#[test]
-fn scope_propagates_spawn_panic_after_draining() {
-    let completed = AtomicUsize::new(0);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool(4).install(|| {
-            rayon::scope(|s| {
-                let completed = &completed;
-                for i in 0..20 {
-                    s.spawn(move |_| {
-                        if i == 7 {
-                            panic!("spawn-panic");
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            })
-        })
-    }));
-    let payload = result.expect_err("panic must propagate");
-    assert_eq!(panic_message(&*payload), "spawn-panic");
-    // Every non-panicking task still ran: the scope drains before rethrow.
-    assert_eq!(completed.load(Ordering::Relaxed), 19);
 }
 
 #[test]

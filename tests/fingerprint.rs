@@ -13,13 +13,13 @@
 //! test binary as a child process per tier and compares what the children
 //! print.
 //!
-//! Each flat-graph family's *graph* is pinned too: the three builders
-//! differ only in construction, so a constant per family is what proves a
-//! refactor of them still builds the same graph, bit for bit.
+//! Each family's *graph* is pinned too: the four builders share one
+//! reverse-edge merge and one row writer, so a constant per family is what
+//! proves a refactor of them still builds the same graph, bit for bit.
 
 use parlayann_suite::core::{
-    AnnIndex, HcnngIndex, HcnngParams, PyNNDescentIndex, PyNNDescentParams, QueryParams,
-    SearchStats, VamanaIndex, VamanaParams,
+    AnnIndex, HcnngIndex, HcnngParams, HnswIndex, HnswParams, PyNNDescentIndex, PyNNDescentParams,
+    QueryParams, SearchStats, VamanaIndex, VamanaParams,
 };
 use parlayann_suite::data::bigann_like;
 use std::process::Command;
@@ -54,8 +54,9 @@ fn fingerprint_is_equal_at_1_and_8_threads() {
     println!("FINGERPRINT 0x{one:016x}");
 }
 
-/// `FlatGraph::fingerprint` of each family's default-parameter build over
-/// the same corpus; equal at 1 and 8 threads and under every SIMD tier.
+/// `FlatGraph::fingerprint` of each flat family's default-parameter build
+/// over the same corpus, and `HnswIndex::fingerprint` (every layer's
+/// members and graph); equal at 1 and 8 threads and under every SIMD tier.
 #[test]
 fn each_family_builds_its_pinned_graph() {
     let data = bigann_like(3_000, 200, 42);
@@ -69,6 +70,8 @@ fn each_family_builds_its_pinned_graph() {
         &PyNNDescentParams::default(),
     );
     assert_eq!(pynn.graph.fingerprint(), 0x25933aadcb42a785, "PyNNDescent");
+    let hnsw = HnswIndex::build(data.points.clone(), data.metric, &HnswParams::default());
+    assert_eq!(hnsw.fingerprint(), 0x16f162b699ef7f43, "HNSW");
 }
 
 #[test]
